@@ -281,8 +281,12 @@ def _validate_source(s, i: int, medium: MediumConstants) -> dict:
                              % (where, key, kind))
         out[key] = _source_value(s[key], "%s.%s" % (where, key))
     for key, default in spec["optional"].items():
-        out[key] = (_source_value(s[key], "%s.%s" % (where, key))
-                    if key in s else default)
+        if key not in s:
+            out[key] = default
+        elif isinstance(default, bool):
+            out[key] = s[key]      # checked per type below
+        else:
+            out[key] = _source_value(s[key], "%s.%s" % (where, key))
 
     # per-type physical constraints
     if kind in ("loop", "helix", "solenoid") and out["radius"] <= 0.0:

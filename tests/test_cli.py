@@ -272,6 +272,44 @@ def test_run_timed_scene_has_t_column(tmp_path):
     assert rows[0]["phi"] == rows[2]["phi"]
 
 
+SQUARE_SCENE = """\
+schema: 1
+sources:
+  - type: polyline
+    current: 1.5
+    points: [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0],
+             [0.0, 1.0, 0.0]CLOSE]
+grid:
+  x: {start: 0.3, stop: 0.7, count: 2}
+  y: 0.5
+  z: 0.2
+outputs: [a]
+"""
+
+
+def test_polyline_closed_flag_validates_and_closes(tmp_path, capsys):
+    for flag in ("true", "false"):
+        scene = write_scene(tmp_path, SQUARE_SCENE.replace(
+            "CLOSE]", "]\n    closed: %s" % flag), "v-%s.yaml" % flag)
+        assert cli.main(["validate", "--scene", scene]) == 0, \
+            capsys.readouterr().err
+
+    # closed: true must match the square closed by its repeated first vertex
+    flagged = write_scene(tmp_path, SQUARE_SCENE.replace(
+        "CLOSE]", "]\n    closed: true"), "flagged.yaml")
+    repeated = write_scene(tmp_path, SQUARE_SCENE.replace(
+        "CLOSE]", ", [0.0, 0.0, 0.0]]"), "repeated.yaml")
+    f_flagged = tmp_path / "flagged.csv"
+    f_repeated = tmp_path / "repeated.csv"
+    assert cli.main(["run", "--scene", flagged, "--out", str(f_flagged)]) == 0
+    assert cli.main(["run", "--scene", repeated,
+                     "--out", str(f_repeated)]) == 0
+    for rf, rr in zip(read_rows(f_flagged), read_rows(f_repeated)):
+        tol = float(rf["quad_error"]) + float(rr["quad_error"])
+        for col in ("a_x", "a_y", "a_z"):
+            assert abs(float(rf[col]) - float(rr[col])) <= tol
+
+
 # ------------------------------------------------------- exit plumbing
 
 def fake_results(all_pass):
