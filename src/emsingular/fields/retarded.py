@@ -41,7 +41,11 @@ class RetardedState:
 def solve_retarded_time(src: PointSource, y: Point3, t: float,
                         c: float = VACUUM.c, tol: float = 1e-12,
                         max_iter: int = 200) -> float:
-    """Emission time t' with t' + |y - x(t')|/c = t."""
+    """Emission time t' with t' + |y - x(t')|/c = t.
+
+    Newton stops once a step falls below tol times the light delay
+    t - t', or below a few ulps of t' (a large |t| with a short delay
+    leaves the delay coarser than tol can resolve)."""
 
     def g(tp: float) -> float:
         return t - tp - (y - src.position(tp)).norm() / c
@@ -53,9 +57,12 @@ def solve_retarded_time(src: PointSource, y: Point3, t: float,
                 "trajectory speed %g exceeds c = %g at t = %g" % (sp, c, tp))
 
     check_speed(t)
-    # g(t) <= 0 always; expand downward until g turns positive
+    r_now = (y - src.position(t)).norm()
+    if r_now == 0.0:
+        return t     # y is the present position: zero delay
+    # g(t) < 0 now; expand downward until g turns positive
     hi = t
-    step = max((y - src.position(t)).norm() / c, 1e-9 * (1.0 + abs(t)))
+    step = max(r_now / c, 1e-9 * (1.0 + abs(t)))
     lo = t - step
     for _ in range(200):
         check_speed(lo)
@@ -80,11 +87,14 @@ def solve_retarded_time(src: PointSource, y: Point3, t: float,
         else:
             hi = tp
         t_next = tp - gv / dg
-        if not (lo < t_next < hi):
-            t_next = 0.5 * (lo + hi)
-        if abs(t_next - tp) <= tol * max(1.0, abs(tp)):
+        # tested before the bracket guard: at the root the Newton step
+        # is zero and lands on a bracket end, which is no reason to bisect
+        if abs(t_next - tp) <= max(tol * (t - t_next),
+                                   4.0 * math.ulp(t_next)):
             check_speed(t_next)
             return t_next
+        if not (lo < t_next < hi):
+            t_next = 0.5 * (lo + hi)
         tp = t_next
     raise ConvergenceError("emission-time iteration did not converge")
 

@@ -12,6 +12,7 @@ Doppler factor can be pinned to 1/(1 -+ beta) exactly.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -119,6 +120,43 @@ def test_emission_time_satisfies_light_cone():
             assert t_ret < t
             r = (y - src.position(t_ret)).norm()
             assert r == pytest.approx(C0 * (t - t_ret), rel=1e-12)
+
+
+def exact_delay(x0, v, y, t):
+    """t - t' for uniform motion, in 60-digit decimal arithmetic: the
+    root of (c^2 - v^2) tau^2 - 2 (R.v) tau - R^2 = 0 with R = y - x(t)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        R = [Decimal(a) - Decimal(b) - Decimal(w) * Decimal(t)
+             for a, b, w in zip(y.as_tuple(), x0.as_tuple(), v.as_tuple())]
+        V = [Decimal(w) for w in v.as_tuple()]
+        rv = sum(a * b for a, b in zip(R, V))
+        r2 = sum(a * a for a in R)
+        k = Decimal(C0) ** 2 - sum(a * a for a in V)
+        return (rv + (rv * rv + k * r2).sqrt()) / k
+
+
+@pytest.mark.parametrize("t", [2.0e-9, 1.0e3])
+@pytest.mark.parametrize("beta, offset", [
+    ((0.5, 0.0, 0.0), (0.0, 1.0, 0.0)),
+    ((0.3, 0.1, -0.2), (0.7, -0.4, 0.5)),
+    ((0.0, 0.6, 0.0), (0.05, 0.02, 0.0)),
+    ((-0.55, 0.2, 0.1), (-1.2, 0.3, 0.1)),
+])
+def test_emission_time_matches_exact_root(t, beta, offset):
+    # field point a few ns of light travel from the charge's present
+    # position; the charge passes near the origin at time t
+    v = Vec3(*(b * C0 for b in beta))
+    x0 = Point3(0.1, -0.2, 0.3) - t * v
+    y = Point3(*(a + b for a, b in zip((x0 + t * v).as_tuple(), offset)))
+    t_ret = retarded.solve_retarded_time(uniform_point_charge(Q, x0, v),
+                                         y, t)
+    delay = exact_delay(x0, v, y, t)
+    err = abs(Decimal(t_ret) - (Decimal(t) - delay))
+    # at t = 1e3 the float spacing of t' (1.1e-13 s) is coarser than
+    # 1e-13 of a ns delay: there t' must land within 4 ulps
+    bound = max(Decimal(1e-13) * delay, Decimal(4.0 * math.ulp(t_ret)))
+    assert err <= bound
 
 
 def test_emission_time_is_deterministic():
