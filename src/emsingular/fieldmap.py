@@ -230,12 +230,8 @@ def compute_row(scene: Scene, parts: list[SourcePart],
 
     def total(y: Point3, at: float):
         key = (y.x, y.y, y.z, at)
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = sum_parts(y, at)
-        return hit
-
-    def sum_parts(y: Point3, at: float):
+        if key in memo:
+            return memo[key]
         a = Vec3(0.0, 0.0, 0.0)
         phi = 0.0
         err = 0.0
@@ -246,7 +242,8 @@ def compute_row(scene: Scene, parts: list[SourcePart],
             phi += pv
             err += ev
             ok = ok and okv
-        return a, phi, err, ok
+        memo[key] = a, phi, err, ok
+        return memo[key]
 
     # potentials at the row point
     a_val: Vec3 | float = _NAN

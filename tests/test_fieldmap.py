@@ -5,6 +5,7 @@ itself, +-h on each axis, and t +- dt when the scene is timed.  The
 counts below are per source and per row.
 """
 
+import math
 import textwrap
 
 import pytest
@@ -97,8 +98,8 @@ def test_row_two_steps_from_a_loop_is_on_support():
     parts, calls = counted_parts(scene)
     row = row_dict(scene, fieldmap.compute_row(scene, parts, (x, 0.0, 0.0)))
     assert row["status"] == "on_support"
-    assert row["a_y"] == row["a_y"]          # potential kept
-    assert row["b_z"] != row["b_z"]          # derivative refused (nan)
+    assert not math.isnan(row["a_y"])     # potential kept
+    assert math.isnan(row["b_z"])         # derivative refused
     assert calls == [1]
 
 
@@ -108,8 +109,8 @@ def test_plate_wire_stencil_leaving_the_gap_is_out_of_domain():
     parts, _ = counted_parts(scene)
     row = row_dict(scene, fieldmap.compute_row(scene, parts, (0.3, 0.0, z)))
     assert row["status"] == "out_of_domain"
-    assert row["phi"] == row["phi"]
-    assert row["e_z"] != row["e_z"]
+    assert not math.isnan(row["phi"])
+    assert math.isnan(row["e_z"])
 
 
 TIMED_SCENE = """\
