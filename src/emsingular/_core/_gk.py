@@ -2,8 +2,9 @@
 
 Standard published values (QUADPACK dqk15).  The seven Gauss nodes are
 the odd-position Kronrod nodes; their weights are listed separately.
-Shared by the generic quadrature engine, the pure-Python backend and the
-compiled backend so there is exactly one copy in the repo.
+Shared by the pure-Python backend (which the generic quadrature engine
+runs on too) and the compiled backend so there is exactly one copy in
+the repo.
 """
 
 # Positive Kronrod abscissae, descending (the full set is +-these and 0).

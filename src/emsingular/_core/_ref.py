@@ -1,7 +1,8 @@
 """Pure-Python reference backend for the hot numerical kernels.
 
 The compiled twin (_fast.pyx) mirrors these routines statement for
-statement; parity tests hold the two to 1e-12 relative.  Everything here
+statement, bar the bookkeeping of the adaptive driver (see _adaptive);
+parity tests hold the two to 1e-12 relative.  Everything here
 is scalar math on purpose: the functions are called point by point from
 the field evaluators, and the compiled backend exists precisely because
 this inner loop dominates runtime.
@@ -12,6 +13,7 @@ calling convention.
 
 from __future__ import annotations
 
+import heapq
 import math
 
 from ._gk import WG, WGK, XGK
@@ -79,30 +81,86 @@ def _panel(f, a: float, b: float):
     return resk * half, abs(resk - resg) * abs(half)
 
 
+def _rank(err: float, i: int):
+    """Heap key of panel i: largest error first, lowest index among
+    equals, as a linear scan with `>` picks.  Nothing compares greater
+    than NaN, so that scan keeps panel 0 when its error is NaN and
+    passes over NaN errors elsewhere."""
+    if err != err:
+        return (-math.inf, 0) if i == 0 else (math.inf, i)
+    return (-err, i)
+
+
 def _adaptive(f, a: float, b: float, abs_tol: float, rel_tol: float,
               max_sub: int):
-    """Worst-first adaptive driver; mirrors quad._adaptive_core."""
+    """Worst-first adaptive Gauss-Kronrod 7/15 driver.
+
+    Bisects the panel with the largest error estimate (the lowest index
+    among equals) until the summed error meets max(abs_tol, rel_tol *
+    |sum|) or max_sub panels exist.  Both sums are math.fsum over all
+    panels.  A heap finds the worst panel, and running sums skip the two
+    fsum calls while the running error exceeds the threshold by more
+    than its rounding bound, so n panels cost O(n log n) rather than
+    O(n^2); the result is the same bit for bit.  quad.integrate_adaptive
+    runs on this driver too.  The compiled twin keeps the linear scan
+    and the re-sum at every step, which give the same result.
+
+    Returns (value, error_estimate, evaluations, converged).
+    """
     value, err = _panel(f, a, b)
-    panels = [(a, b, value, err)]
+    values = [value]
+    errors = [err]
+    spans = [(a, b)]
+    heap = [_rank(err, 0)]
     evals = 15
+    # Each addition to a running sum rounds by at most half an ulp of
+    # the largest magnitude the sum reaches, so after k additions it is
+    # within k ulps of that magnitude of the exact sum.
+    run_val, run_err = value, err
+    big_val, big_err = abs(value), abs(err)
+    adds = 0
     while True:
-        total = math.fsum(p[2] for p in panels)
-        total_err = math.fsum(p[3] for p in panels)
-        if total_err <= max(abs_tol, rel_tol * abs(total)):
-            return total, max(total_err, 1e-15 * abs(total)), evals, 1
-        if len(panels) >= max_sub:
-            return total, max(total_err, 1e-15 * abs(total)), evals, 0
-        worst = 0
-        for i in range(1, len(panels)):
-            if panels[i][3] > panels[worst][3]:
-                worst = i
-        lo, hi, _, _ = panels[worst]
+        n = len(values)
+        # Four spare ulps cover fsum's own rounding and that of this
+        # test.  An inf or NaN makes a comparison false and so takes the
+        # exact path.
+        spare = adds + 4
+        low_err = run_err - spare * math.ulp(big_err)
+        high_val = abs(run_val) + spare * math.ulp(big_val)
+        if n >= max_sub or not (low_err > abs_tol
+                                and low_err > rel_tol * high_val):
+            total = math.fsum(values)
+            total_err = math.fsum(errors)
+            if total_err <= max(abs_tol, rel_tol * abs(total)):
+                return total, max(total_err, 1e-15 * abs(total)), evals, 1
+            if n >= max_sub:
+                return total, max(total_err, 1e-15 * abs(total)), evals, 0
+            run_val, run_err = total, total_err
+            big_val, big_err = abs(total), abs(total_err)
+            adds = 1
+        worst = heapq.heappop(heap)[1]
+        lo, hi = spans[worst]
         mid = 0.5 * (lo + hi)
         v1, e1 = _panel(f, lo, mid)
         v2, e2 = _panel(f, mid, hi)
         evals += 30
-        panels[worst] = (lo, mid, v1, e1)
-        panels.append((mid, hi, v2, e2))
+        # swap the worst panel for its halves in the running sums, three
+        # additions each, and note the magnitude of every partial sum
+        s1 = run_val - values[worst]
+        s2 = s1 + v1
+        run_val = s2 + v2
+        t1 = run_err - errors[worst]
+        t2 = t1 + e1
+        run_err = t2 + e2
+        big_val = max(big_val, abs(s1), abs(s2), abs(run_val))
+        big_err = max(big_err, abs(t1), abs(t2), abs(run_err))
+        adds += 3
+        values[worst], errors[worst], spans[worst] = v1, e1, (lo, mid)
+        values.append(v2)
+        errors.append(e2)
+        spans.append((mid, hi))
+        heapq.heappush(heap, _rank(e1, worst))
+        heapq.heappush(heap, _rank(e2, n))
 
 
 def loop_phi_integral(r: float, z: float, a: float, abs_tol: float,

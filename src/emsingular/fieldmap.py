@@ -31,7 +31,7 @@ from . import exterior3, sources
 from .errors import (ConvergenceError, OnSupportError, OutOfDomainError)
 from .fields import electro, magneto, retarded
 from .fields.medium import MediumConstants
-from .geometry import Point3, Vec3
+from .geometry import Point3, Vec3, cylinder_band_distance, segment_distance
 from .quad import QuadConfig
 from .scene import Scene
 
@@ -48,13 +48,13 @@ class SourcePart:
     """One scene source turned into evaluator callables.
 
     evaluate(point, t) -> (a: Vec3, phi: float, err: float, ok: bool)
-    distance(point, t) -> float   (to the singular support; inf if none)
+    near(point, t, radius) -> bool   (within radius of the singular support)
     """
 
-    def __init__(self, kind: str, evaluate, distance, time_dependent=False):
+    def __init__(self, kind: str, evaluate, near, time_dependent=False):
         self.kind = kind
         self.evaluate = evaluate
-        self.distance = distance
+        self.near = near
         self.time_dependent = time_dependent
 
 
@@ -77,19 +77,14 @@ def _build_part(s: dict, medium: MediumConstants,
             return (res.a, 0.0, res.diagnostics["a_phi_error"],
                     res.diagnostics["converged"])
 
-        def distance(y: Point3, t: float) -> float:
-            return math.hypot(y.r - a, y.z - cz)
+        def near(y: Point3, t: float, radius: float) -> bool:
+            return math.hypot(y.r - a, y.z - cz) < radius
 
-        return SourcePart(kind, evaluate, distance)
+        return SourcePart(kind, evaluate, near)
 
     if kind == "helix":
         a, p, length = s["radius"], s["pitch"], s["length"]
         cur, s0 = s["current"], s["sigma0"]
-        big_p = math.sqrt(1.0 - p * p) / a
-
-        def hpoint(sig: float) -> Point3:
-            return Point3(a * math.cos(big_p * sig),
-                          a * math.sin(big_p * sig), p * sig)
 
         def evaluate(y: Point3, t: float):
             res = magneto.helix_potential(a, p, length, cur, y, cfg, s0,
@@ -97,10 +92,11 @@ def _build_part(s: dict, medium: MediumConstants,
             return (res.a, 0.0, res.diagnostics["chart_error"],
                     res.diagnostics["converged"])
 
-        def distance(y: Point3, t: float) -> float:
-            return magneto.min_distance_to_curve(hpoint, s0, s0 + length, y)
+        def near(y: Point3, t: float, radius: float) -> bool:
+            return magneto.helix_distance(a, p, length, s0, y,
+                                          radius) < radius
 
-        return SourcePart(kind, evaluate, distance)
+        return SourcePart(kind, evaluate, near)
 
     if kind == "solenoid":
         a, p, length, k0 = s["radius"], s["pitch"], s["length"], s["kappa0"]
@@ -111,29 +107,26 @@ def _build_part(s: dict, medium: MediumConstants,
             return (res.a, 0.0, res.diagnostics["chart_error"],
                     res.diagnostics["converged"])
 
-        def distance(y: Point3, t: float) -> float:
-            if 0.0 <= y.z <= length:
-                return abs(y.r - a)
-            dz = y.z - length if y.z > length else -y.z
-            return math.hypot(y.r - a, dz)
+        def near(y: Point3, t: float, radius: float) -> bool:
+            return cylinder_band_distance(a, 0.0, length, y) < radius
 
-        return SourcePart(kind, evaluate, distance)
+        return SourcePart(kind, evaluate, near)
 
     if kind == "polyline":
         pts = [Point3(*p) for p in s["points"]]
         src = sources.polyline(pts, s["current"], s["closed"])
+        chain = pts + [pts[0]] if s["closed"] else pts
 
         def evaluate(y: Point3, t: float):
             res = magneto.curve_potential(src, y, cfg, medium)
             return (res.a, 0.0, res.diagnostics["chart_error"],
                     res.diagnostics["converged"])
 
-        def distance(y: Point3, t: float) -> float:
-            chain = pts + [pts[0]] if s["closed"] else pts
-            return min(_segment_distance(y, p0, p1)
+        def near(y: Point3, t: float, radius: float) -> bool:
+            return any(segment_distance(y, p0, p1) < radius
                        for p0, p1 in zip(chain[:-1], chain[1:]))
 
-        return SourcePart(kind, evaluate, distance)
+        return SourcePart(kind, evaluate, near)
 
     if kind == "plate_wire":
         z0, lam, gap = s["z0"], s["lambda"], s["gap"]
@@ -144,10 +137,10 @@ def _build_part(s: dict, medium: MediumConstants,
                     res.diagnostics.get("series_error", 0.0),
                     res.diagnostics["converged"])
 
-        def distance(y: Point3, t: float) -> float:
-            return math.hypot(y.x, y.z - z0)
+        def near(y: Point3, t: float, radius: float) -> bool:
+            return math.hypot(y.x, y.z - z0) < radius
 
-        return SourcePart(kind, evaluate, distance)
+        return SourcePart(kind, evaluate, near)
 
     if kind == "point_charge":
         q = s["q"]
@@ -161,10 +154,10 @@ def _build_part(s: dict, medium: MediumConstants,
             res = retarded.lienard_wiechert(src, y, t, medium)
             return (res.a, res.phi, 0.0, True)
 
-        def distance(y: Point3, t: float) -> float:
-            return (y - src.position(t)).norm()
+        def near(y: Point3, t: float, radius: float) -> bool:
+            return (y - src.position(t)).norm() < radius
 
-        return SourcePart(kind, evaluate, distance, time_dependent=moving)
+        return SourcePart(kind, evaluate, near, time_dependent=moving)
 
     if kind == "dipole":
         dip = sources.DipoleSource(Point3(*s["position"]),
@@ -174,21 +167,12 @@ def _build_part(s: dict, medium: MediumConstants,
             res = electro.dipole_potential(dip, y, medium)
             return (zero, res.phi, 0.0, True)
 
-        def distance(y: Point3, t: float) -> float:
-            return (y - dip.location).norm()
+        def near(y: Point3, t: float, radius: float) -> bool:
+            return (y - dip.location).norm() < radius
 
-        return SourcePart(kind, evaluate, distance)
+        return SourcePart(kind, evaluate, near)
 
     raise ValueError("unhandled source type %r" % kind)
-
-
-def _segment_distance(y: Point3, p0: Point3, p1: Point3) -> float:
-    d = p1 - p0
-    L2 = d.dot(d)
-    if L2 == 0.0:
-        return (y - p0).norm()
-    u = max(0.0, min(1.0, (y - p0).dot(d) / L2))
-    return (y - (p0 + u * d)).norm()
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +247,10 @@ def compute_row(scene: Scene, parts: list[SourcePart],
 
     wants_derivative = any(o in scene.outputs for o in _DERIVATIVE_OUTPUTS)
     derivatives_ok = wants_derivative and status == "ok"
-    if derivatives_ok:
-        dmin = min(part.distance(point, t) for part in parts)
-        if dmin < 3.0 * h:
-            status = "on_support"
-            derivatives_ok = False
+    if derivatives_ok and any(part.near(point, t, 3.0 * h)
+                              for part in parts):
+        status = "on_support"
+        derivatives_ok = False
 
     b_val = e_val = Vec3(_NAN, _NAN, _NAN)
     res_val = res_scale = _NAN

@@ -9,7 +9,11 @@ no code path with the specialized ones, which makes it a useful
 cross-check.
 
 All results are exterior to the source; evaluation on or numerically
-against the support raises OnSupportError.
+against the support raises OnSupportError.  The source geometry decides
+that proximity guard: the exact distance for a loop, a solenoid sheet
+and a polyline (its segments); for a helix the distance to the band of
+the cylinder that carries it, with a sampled scan of the wire only when
+the point is that close to the band.  Other curves are scanned.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from typing import Callable
 from .. import exterior3, kernels
 from .._core import helix_integrals, loop_phi_integral, solenoid_integrals
 from ..errors import InvalidGeometryError, OnSupportError
-from ..geometry import Point3, Vec3, cyl_to_cart
+from ..geometry import (Point3, Vec3, cyl_to_cart, cylinder_band_distance,
+                        segment_distance)
 from ..quad import QuadConfig, integrate_adaptive
 from ..sources import CurveSource
 from .base import PotentialResult
@@ -88,10 +93,8 @@ def helix_potential(radius: float, pitch: float, length: float,
     cfg = cfg or QuadConfig()
     a, p = radius, pitch
     big_p = math.sqrt(1.0 - p * p) / a
-    _min_distance_guard(
-        lambda s: Point3(a * math.cos(big_p * s), a * math.sin(big_p * s),
-                         p * s),
-        sigma0, sigma0 + length, y, _support_floor(a))
+    floor = _support_floor(a)
+    _refuse_on_support(helix_distance(a, p, length, sigma0, y, floor), floor)
     i_sin, i_cos, i_one, err, evals, ok = helix_integrals(
         y.r, y.phi, y.z, a, p, big_p, sigma0, sigma0 + length,
         cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions)
@@ -131,11 +134,7 @@ def solenoid_potential(radius: float, pitch: float, length: float,
     a, p = radius, pitch
     big_p = math.sqrt(1.0 - p * p) / a
     r, z = y.r, y.z
-    if 0.0 <= z <= length:
-        d = abs(r - a)
-    else:
-        dz = z - length if z > length else -z
-        d = math.hypot(r - a, dz)
+    d = cylinder_band_distance(a, 0.0, length, y)
     if d < _support_floor(a):
         raise OnSupportError("field point lies on the sheet (distance %g)" % d)
     _, i_cos, i_one, err, evals, ok = solenoid_integrals(
@@ -158,19 +157,22 @@ def curve_potential(src: CurveSource, y: Point3,
 
     Integrates mu * i0 * kernel(y, x(s)) * W(s) * omega_f(d/ds) over the
     chart.  Polyline charts are split at the vertices so each panel sees
-    a smooth integrand.
+    a smooth integrand, and their distance to y is exact over those
+    segments; other curves are scanned (min_distance_to_curve).
     """
     cfg = cfg or QuadConfig()
     s0, s1 = src.chart
     scale = max(abs(v) for pt in (src.point(s0), src.point(s1))
                 for v in pt.as_tuple())
-    _min_distance_guard(src.point, s0, s1, y,
-                        _support_floor(max(scale, 1.0)))
-
     if src.kind == "polyline":
         breaks = [float(k) for k in range(int(s0), int(s1) + 1)]
+        corners = [src.point(k) for k in breaks]
+        d = min(segment_distance(y, p0, p1)
+                for p0, p1 in zip(corners[:-1], corners[1:]))
     else:
         breaks = [s0, s1]
+        d = min_distance_to_curve(src.point, s0, s1, y)
+    _refuse_on_support(d, _support_floor(max(scale, 1.0)))
     comps = [0.0, 0.0, 0.0]
     err = 0.0
     evals = 0
@@ -321,10 +323,31 @@ def min_distance_to_curve(point_of: Callable[[float], Point3],
     return min((y - p).norm(), math.sqrt(best_d2))
 
 
-def _min_distance_guard(point_of: Callable[[float], Point3],
-                        s0: float, s1: float, y: Point3,
-                        floor: float, samples: int = 512) -> None:
-    d = min_distance_to_curve(point_of, s0, s1, y, samples)
+def helix_distance(radius: float, pitch: float, length: float,
+                   sigma0: float, y: Point3, within: float) -> float:
+    """Distance from y to the helical wire of helix_potential, where it
+    is below `within`; elsewhere a lower bound on it of at least `within`.
+
+    The wire lies on the band r = radius, pitch * sigma0 <= z <=
+    pitch * (sigma0 + length), so the band distance bounds the wire
+    distance from below.  The sampled scan runs only when the band is
+    nearer than `within`, plus 16 ulps of the helix's scale: the scan's
+    points lie within rounding of the band, so it could not have found
+    the wire nearer than `within` either.
+    """
+    a, p = radius, pitch
+    z_lo, z_hi = p * sigma0, p * (sigma0 + length)
+    band = cylinder_band_distance(a, z_lo, z_hi, y)
+    if band >= within + 16.0 * math.ulp(max(a, abs(z_lo), abs(z_hi))):
+        return band
+    big_p = math.sqrt(1.0 - p * p) / a
+    return min_distance_to_curve(
+        lambda s: Point3(a * math.cos(big_p * s), a * math.sin(big_p * s),
+                         p * s),
+        sigma0, sigma0 + length, y)
+
+
+def _refuse_on_support(d: float, floor: float) -> None:
     if d < floor:
         raise OnSupportError(
             "field point lies on the source curve (distance %g)" % d)

@@ -103,3 +103,24 @@ def cyl_to_cart(a_r: float, a_phi: float, a_z: float, phi: float) -> Vec3:
     """Vector with physical cylindrical components (a_r, a_phi, a_z) at azimuth phi."""
     c, s = math.cos(phi), math.sin(phi)
     return Vec3(a_r * c - a_phi * s, a_r * s + a_phi * c, a_z)
+
+
+def cylinder_band_distance(a: float, z_lo: float, z_hi: float,
+                           y: Point3) -> float:
+    """Distance from y to the band r = a, z_lo <= z <= z_hi of the
+    cylinder about the z axis."""
+    r, z = y.r, y.z
+    if z_lo <= z <= z_hi:
+        return abs(r - a)
+    dz = z - z_hi if z > z_hi else z_lo - z
+    return math.hypot(r - a, dz)
+
+
+def segment_distance(y: Point3, p0: Point3, p1: Point3) -> float:
+    """Distance from y to the segment from p0 to p1."""
+    d = p1 - p0
+    L2 = d.dot(d)
+    if L2 == 0.0:
+        return (y - p0).norm()
+    u = max(0.0, min(1.0, (y - p0).dot(d) / L2))
+    return (y - (p0 + u * d)).norm()

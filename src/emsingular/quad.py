@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from ._core._gk import WG, WGK, XGK
+from ._core._ref import _adaptive
 
 
 @dataclass(frozen=True)
@@ -59,23 +59,6 @@ class QuadResult:
 
 
 DEFAULT = QuadConfig()
-
-
-def _kronrod_panel(f: Callable[[float], float], a: float, b: float):
-    """One 15-point panel; returns (kronrod, |kronrod - gauss|, evals)."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    fc = f(mid)
-    resk = WGK[7] * fc
-    resg = WG[3] * fc
-    for j in range(7):
-        dx = half * XGK[j]
-        f1 = f(mid - dx)
-        f2 = f(mid + dx)
-        resk += WGK[j] * (f1 + f2)
-        if j % 2 == 1:  # Gauss nodes sit at the odd Kronrod positions
-            resg += WG[j // 2] * (f1 + f2)
-    return resk * half, abs(resk - resg) * abs(half), 15
 
 
 def integrate_adaptive(
@@ -117,28 +100,9 @@ def integrate_adaptive(
 
 
 def _adaptive_core(f, a, b, cfg: QuadConfig) -> QuadResult:
-    value, err, n = _kronrod_panel(f, a, b)
-    panels = [(a, b, value, err)]
-    while True:
-        total = math.fsum(p[2] for p in panels)
-        total_err = math.fsum(p[3] for p in panels)
-        if total_err <= cfg.tolerance(total):
-            break
-        if len(panels) >= cfg.max_subdivisions:
-            return QuadResult(total, _floored(total_err, total), n, False)
-        # deterministic worst-first: first panel attaining the max error
-        worst = 0
-        for i in range(1, len(panels)):
-            if panels[i][3] > panels[worst][3]:
-                worst = i
-        lo, hi, _, _ = panels[worst]
-        mid = 0.5 * (lo + hi)
-        v1, e1, n1 = _kronrod_panel(f, lo, mid)
-        v2, e2, n2 = _kronrod_panel(f, mid, hi)
-        n += n1 + n2
-        panels[worst] = (lo, mid, v1, e1)
-        panels.append((mid, hi, v2, e2))
-    return QuadResult(total, _floored(total_err, total), n, True)
+    value, err, evals, ok = _adaptive(f, a, b, cfg.abs_tol, cfg.rel_tol,
+                                      cfg.max_subdivisions)
+    return QuadResult(value, err, evals, bool(ok))
 
 
 def _floored(err: float, value: float) -> float:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import yaml
@@ -137,11 +138,30 @@ def _axis_values(axis: dict) -> list:
 # loading
 
 
+class _SceneLoader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 floats with an exponent, such
+    as 3.0e7 or 1e-9.
+
+    Under YAML 1.1 a float needs a dot and a signed exponent, so PyYAML
+    reads those as strings.  The added resolver comes after the built-in
+    ones, so every scalar they resolve keeps its type and value."""
+
+
+_SceneLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+
+def _load_yaml(stream):
+    return yaml.load(stream, Loader=_SceneLoader)
+
+
 def load_scene(path: str, overrides: list[str] | None = None) -> Scene:
     """Read, apply --set overrides, validate, normalize, hash."""
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = _load_yaml(fh)
     except OSError as exc:
         raise SceneError("cannot read scene file: %s" % exc) from exc
     except yaml.YAMLError as exc:
@@ -173,7 +193,7 @@ def apply_override(raw: dict, assignment: str) -> dict:
     if not all(tokens):
         raise SceneError("override path %r has an empty component" % path)
     try:
-        value = yaml.safe_load(text)
+        value = _load_yaml(text)
     except yaml.YAMLError as exc:
         raise SceneError("override value %r is not valid YAML: %s"
                          % (text, exc)) from exc

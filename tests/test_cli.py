@@ -310,6 +310,44 @@ def test_polyline_closed_flag_validates_and_closes(tmp_path, capsys):
             assert abs(float(rf[col]) - float(rr[col])) <= tol
 
 
+EXPONENT_SCENE = """\
+schema: 1
+sources:
+  - type: point_charge
+    q: 1e-9
+    position: [0.0, -1.0, 0.5]
+    velocity: [3.0e7, 0, 0]
+grid:
+  x: {start: 0.2, stop: 0.6, count: 2}
+  y: 0.0
+  z: 0.5
+  time: {start: 0.0, stop: 2.0e-9, count: 2}
+outputs: [phi, a]
+"""
+
+
+def test_unsigned_and_dotless_exponents_read_as_floats(tmp_path, capsys):
+    # 3.0e7 and 1e-9 are floats under YAML 1.2; a YAML 1.1 reader takes
+    # them for strings, and only 3.0e+7 and 1.0e-9 for floats
+    bare = write_scene(tmp_path, EXPONENT_SCENE, "bare.yaml")
+    signed = write_scene(tmp_path, EXPONENT_SCENE.replace(
+        "1e-9", "1.0e-9").replace("3.0e7", "3.0e+7"), "signed.yaml")
+    hashes = []
+    for scene in (bare, signed):
+        assert cli.main(["validate", "--scene", scene]) == 0, \
+            capsys.readouterr().err
+        out = capsys.readouterr().out
+        hashes.append(out.split("scene_hash: ")[1].split()[0])
+    assert hashes[0] == hashes[1]
+
+    out = tmp_path / "bare.csv"
+    assert cli.main(["run", "--scene", bare, "--out", str(out)]) == 0
+    rows = read_rows(out)
+    assert [r["status"] for r in rows] == ["ok"] * 4
+    assert [float(r["t"]) for r in rows] == [0.0, 0.0, 2e-9, 2e-9]
+    assert rows[0]["phi"] != rows[2]["phi"]     # the charge moved
+
+
 # ------------------------------------------------------- exit plumbing
 
 def fake_results(all_pass):

@@ -16,6 +16,10 @@ from emsingular.geometry import Point3, Vec3
 from emsingular.scene import Scene, scene_hash, validate_scene
 
 LOOP = {"type": "loop", "radius": 1.0, "current": 2.0}
+HELIX = {"type": "helix", "radius": 0.5, "pitch": 0.1, "length": 20.0,
+         "current": 1.0}
+SOLENOID = {"type": "solenoid", "radius": 2.0, "pitch": 0.05,
+            "length": 1.0, "kappa0": 3.0}
 SQUARE = {"type": "polyline", "current": 1.5,
           "points": [[2.0, -0.5, 0.0], [3.0, -0.5, 0.0],
                      [3.0, 0.5, 0.0], [2.0, 0.5, 0.0], [2.0, -0.5, 0.0]]}
@@ -101,6 +105,47 @@ def test_row_two_steps_from_a_loop_is_on_support():
     assert not math.isnan(row["a_y"])     # potential kept
     assert math.isnan(row["b_z"])         # derivative refused
     assert calls == [1]
+
+
+@pytest.fixture
+def scan_calls(monkeypatch):
+    """Arguments of every magneto.min_distance_to_curve call."""
+    calls = []
+    inner = magneto.min_distance_to_curve
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(magneto, "min_distance_to_curve", counting)
+    return calls
+
+
+@pytest.mark.parametrize("sources, outputs, coords", [
+    ([LOOP, HELIX, SOLENOID], ["a", "b"], (0.75, 0.0, 0.5)),
+    ([SQUARE], ["a"], (2.5, 0.0, 0.3)),
+], ids=["loop_helix_solenoid_a_b", "polyline_a"])
+def test_rows_off_the_support_scan_no_curve(sources, outputs, coords,
+                                            scan_calls):
+    scene = make_scene(sources, outputs)
+    row = fieldmap.compute_row(scene, fieldmap.build_parts(scene), coords)
+    assert row[-1] == "ok"
+    assert scan_calls == []
+
+
+def test_row_two_steps_from_a_helix_wire_is_on_support(scan_calls):
+    scene = make_scene([HELIX], ["a", "b"])
+    h = scene.fd_step(0.0)     # the row point lies inside the unit ball
+    a, p, s = HELIX["radius"], HELIX["pitch"], 5.0
+    big_p = math.sqrt(1.0 - p * p) / a
+    r = a + 2.0 * h
+    coords = (r * math.cos(big_p * s), r * math.sin(big_p * s), p * s)
+    row = row_dict(scene, fieldmap.compute_row(
+        scene, fieldmap.build_parts(scene), coords))
+    assert row["status"] == "on_support"
+    assert not math.isnan(row["a_x"])     # potential kept
+    assert math.isnan(row["b_z"])         # derivative refused
+    assert scan_calls                     # the band could not clear it
 
 
 def test_plate_wire_stencil_leaving_the_gap_is_out_of_domain():

@@ -6,6 +6,7 @@ z = 0.6, computed with a 4e6-segment midpoint sum over the wire
 """
 
 import math
+import random
 
 import pytest
 
@@ -120,6 +121,51 @@ def test_helix_on_support_refused():
         magneto.helix_potential(a, p, 10.0, 1.0, on_wire, CFG)
 
 
+def _near_helix(a, p, s, dr=0.0, dz=0.0):
+    """The wire point at arc length s, moved dr out and dz up."""
+    big_p = math.sqrt(1.0 - p * p) / a
+    return Point3((a + dr) * math.cos(big_p * s),
+                  (a + dr) * math.sin(big_p * s), p * s + dz)
+
+
+def test_helix_band_between_turns_is_off_support():
+    # on the band r = a, which the band distance alone cannot clear, but
+    # half a turn's rise above the wire
+    a, p = 1.0, 0.2
+    rise = p * 2.0 * math.pi * a / math.sqrt(1.0 - p * p)
+    y = _near_helix(a, p, 3.0, dz=0.5 * rise)
+    res = magneto.helix_potential(a, p, 10.0, 1.0, y, CFG)
+    assert all(math.isfinite(c) for c in res.a.as_tuple())
+
+
+def test_helix_within_1e9_of_wire_refused():
+    y = _near_helix(1.0, 0.2, 3.0, dr=1e-9)
+    with pytest.raises(OnSupportError):
+        magneto.helix_potential(1.0, 0.2, 10.0, 1.0, y, CFG)
+
+
+def test_helix_distance_decides_as_the_wire_scan():
+    a, p, length, s0 = 0.8, 0.3, 12.0, -2.0
+    big_p = math.sqrt(1.0 - p * p) / a
+
+    def wire(s):
+        return Point3(a * math.cos(big_p * s), a * math.sin(big_p * s), p * s)
+
+    rng = random.Random(7)
+    for _ in range(200):
+        # beside the wire, between turns, and past either end of the band
+        s = rng.uniform(s0 - 1.0, s0 + length + 1.0)
+        dr = rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-10, -1)
+        dz = rng.uniform(-0.5, 0.5) * rng.random() ** 4
+        y = _near_helix(a, p, s, dr, dz)
+        within = 10 ** rng.uniform(-9, -1)
+        scan = magneto.min_distance_to_curve(wire, s0, s0 + length, y)
+        got = magneto.helix_distance(a, p, length, s0, y, within)
+        assert (got < within) == (scan < within)
+        if got < within:
+            assert got == scan
+
+
 def test_helix_rejects_bad_pitch():
     with pytest.raises(InvalidGeometryError):
         magneto.helix_potential(1.0, 0.0, 5.0, 1.0, Point3(2, 0, 0), CFG)
@@ -216,6 +262,19 @@ def test_curve_potential_on_support_refused():
     src = polyline([Point3(0, 0, 0), Point3(0, 0, 2)], 1.0)
     with pytest.raises(OnSupportError):
         magneto.curve_potential(src, Point3(0.0, 0.0, 1.0), CFG)
+
+
+@pytest.mark.parametrize("y", [
+    Point3(1.0, 0.37, 1e-9),     # inside a segment
+    Point3(1.0, 1.0, 1e-9),      # at a vertex
+    Point3(0.0, 0.61, 1e-9),     # on the closing segment back to the start
+], ids=["segment", "vertex", "closing_segment"])
+def test_closed_polyline_refuses_points_on_its_segments(y):
+    square = [Point3(0, 0, 0), Point3(1, 0, 0), Point3(1, 1, 0),
+              Point3(0, 1, 0)]
+    src = polyline(square, 1.0, closed=True)
+    with pytest.raises(OnSupportError):
+        magneto.curve_potential(src, y, CFG)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from emsingular._core import _ref
 from emsingular.quad import (DEFAULT, QuadConfig, QuadResult,
                              integrate_2d, integrate_adaptive,
                              integrate_periodic, sum_series)
@@ -84,6 +85,71 @@ def test_result_addition_combines_fields():
     c = a + b
     assert (c.value, c.error_estimate, c.evaluations, c.converged) == \
         (3.0, 0.75, 30, False)
+
+
+def _quadratic_driver(f, a, b, abs_tol, rel_tol, max_sub):
+    """Oracle: the adaptive driver as a linear scan for the worst panel
+    and a full fsum re-sum after every subdivision (O(n^2) in panels)."""
+    value, err = _ref._panel(f, a, b)
+    panels = [(a, b, value, err)]
+    evals = 15
+    while True:
+        total = math.fsum(p[2] for p in panels)
+        total_err = math.fsum(p[3] for p in panels)
+        if total_err <= max(abs_tol, rel_tol * abs(total)):
+            return total, max(total_err, 1e-15 * abs(total)), evals, 1
+        if len(panels) >= max_sub:
+            return total, max(total_err, 1e-15 * abs(total)), evals, 0
+        worst = 0
+        for i in range(1, len(panels)):
+            if panels[i][3] > panels[worst][3]:
+                worst = i
+        lo, hi, _, _ = panels[worst]
+        mid = 0.5 * (lo + hi)
+        v1, e1 = _ref._panel(f, lo, mid)
+        v2, e2 = _ref._panel(f, mid, hi)
+        evals += 30
+        panels[worst] = (lo, mid, v1, e1)
+        panels.append((mid, hi, v2, e2))
+
+
+def _spike(at):
+    # inf at one node gives that panel a NaN error estimate
+    return lambda x: math.inf if x == at else math.sin(40.0 * x)
+
+
+# (integrand, a, b, abs_tol, rel_tol, max_sub): each needs hundreds of
+# panels, or stops at max_sub, or carries NaN error estimates (in panel
+# 0 first, then in a later panel that the worst-first choice passes over)
+DRIVER_CASES = {
+    "sin_inverse": (lambda x: math.sin(1.0 / (x + 1e-3)), 0.0, 1.0,
+                    1e-14, 1e-12, 2000),
+    "two_peaks": (lambda x: (1.0 / math.sqrt(abs(x - 0.3) + 1e-15)
+                             + 1.0 / math.sqrt(abs(x - 0.61) + 1e-15)),
+                  0.0, 1.0, 1e-14, 1e-12, 2000),
+    "oscillating_at_max_sub": (lambda x: math.cos(300.0 * x)
+                               * math.exp(-0.1 * x), 0.0, 20.0,
+                               1e-12, 1e-9, 400),
+    "relative_only": (lambda x: math.sin(1.0 / (x + 1e-3)), 0.0, 1.0,
+                      0.0, 1e-14, 2000),
+    "nan_in_panel_0": (_spike(0.5), 0.0, 1.0, 1e-14, 1e-12, 2000),
+    "nan_later": (_spike(0.75), 0.0, 1.0, 1e-14, 1e-12, 300),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DRIVER_CASES))
+def test_driver_matches_quadratic_oracle_bit_for_bit(case):
+    f, a, b, abs_tol, rel_tol, max_sub = DRIVER_CASES[case]
+    want = _quadratic_driver(f, a, b, abs_tol, rel_tol, max_sub)
+    assert want[2] >= 15 + 30 * 100 or case.startswith("nan")
+    got = _ref._adaptive(f, a, b, abs_tol, rel_tol, max_sub)
+    # repr tells floats apart bit for bit (NaN aside) and equates NaNs
+    assert repr(got) == repr(want)
+    cfg = QuadConfig(abs_tol=abs_tol, rel_tol=rel_tol,
+                     max_subdivisions=max_sub)
+    res = integrate_adaptive(f, a, b, cfg)
+    assert repr(res) == repr(QuadResult(want[0], want[1], want[2],
+                                        bool(want[3])))
 
 
 # ---------------------------------------------------------------------------
