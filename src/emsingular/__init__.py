@@ -8,12 +8,11 @@ retarded variants); derived fields (B = curl A, E = -grad phi - dA/dt)
 and gauge residuals go through a small exterior-calculus layer so the
 sign conventions live in exactly one place.
 
-The numerical core (modified Bessel K0, the hot chart integrals) has a
-compiled backend with a pure-Python fallback; `emsingular.backend()`
-reports which one is active.
+The numerical core (modified Bessel K0, the hot chart integrals) is
+pure Python; `emsingular.backend()` names it.
 """
 
-from ._core import USING_COMPILED, backend_name as backend  # noqa: F401
+from ._core import backend_name as backend  # noqa: F401
 from .errors import (  # noqa: F401
     CoincidentPointsError,
     ConvergenceError,
@@ -35,5 +34,5 @@ __all__ = [
     "EmsingularError", "CoincidentPointsError", "OnSupportError",
     "OutOfDomainError", "DegenerateFoliationError", "InvalidGeometryError",
     "ConvergenceError", "SuperluminalError", "SceneError",
-    "USING_COMPILED", "backend", "__version__",
+    "backend", "__version__",
 ]

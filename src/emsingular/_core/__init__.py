@@ -1,29 +1,11 @@
-"""Numerical core with compiled/pure-Python backend selection.
+"""Numerical core: Bessel K0, the loop, helix and cylinder-sheet
+quadratures and the slab kernel series, all in pure Python (_ref)."""
 
-Importing this package binds the hot kernels (bessel_k0, the loop, helix
-and cylinder-sheet quadratures, the slab kernel series) from the Cython
-extension when it was built, or from the pure-Python reference module
-otherwise.  Both expose identical signatures and the same algorithms;
-backend parity is covered by tests.
-"""
-
-try:
-    from . import _fast as _impl
-
-    USING_COMPILED = True
-except ImportError:  # extension not built; fall back to pure Python
-    from . import _ref as _impl
-
-    USING_COMPILED = False
-
-from . import _ref  # the reference is always importable for parity checks
-
-bessel_k0 = _impl.bessel_k0
-loop_phi_integral = _impl.loop_phi_integral
-helix_integrals = _impl.helix_integrals
-solenoid_integrals = _impl.solenoid_integrals
-plate_green_sum = _impl.plate_green_sum
+from ._ref import (  # noqa: F401
+    bessel_k0, helix_integrals, loop_phi_integral, plate_green_sum,
+    solenoid_integrals,
+)
 
 
 def backend_name() -> str:
-    return "compiled" if USING_COMPILED else "pure-python"
+    return "pure-python"

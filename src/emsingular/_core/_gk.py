@@ -2,9 +2,8 @@
 
 Standard published values (QUADPACK dqk15).  The seven Gauss nodes are
 the odd-position Kronrod nodes; their weights are listed separately.
-Shared by the pure-Python backend (which the generic quadrature engine
-runs on too) and the compiled backend so there is exactly one copy in
-the repo.
+Used by the adaptive driver in _ref, which the generic quadrature
+engine runs on too.
 """
 
 # Positive Kronrod abscissae, descending (the full set is +-these and 0).

@@ -1,14 +1,10 @@
-"""Pure-Python reference backend for the hot numerical kernels.
+"""The hot numerical kernels: Bessel K0, the adaptive Gauss-Kronrod
+driver, the loop, helix and cylinder-sheet quadratures and the slab
+kernel series.
 
-The compiled twin (_fast.pyx) mirrors these routines statement for
-statement, bar the bookkeeping of the adaptive driver (see _adaptive);
-parity tests hold the two to 1e-12 relative.  Everything here
-is scalar math on purpose: the functions are called point by point from
-the field evaluators, and the compiled backend exists precisely because
-this inner loop dominates runtime.
-
-Functions return plain tuples of floats/ints so both backends share a
-calling convention.
+Everything here is scalar math on purpose: the functions are called
+point by point from the field evaluators, and this inner loop dominates
+runtime.  Functions return plain tuples of floats and ints.
 """
 
 from __future__ import annotations
@@ -102,8 +98,7 @@ def _adaptive(f, a: float, b: float, abs_tol: float, rel_tol: float,
     fsum calls while the running error exceeds the threshold by more
     than its rounding bound, so n panels cost O(n log n) rather than
     O(n^2); the result is the same bit for bit.  quad.integrate_adaptive
-    runs on this driver too.  The compiled twin keeps the linear scan
-    and the re-sum at every step, which give the same result.
+    runs on this driver too.
 
     Returns (value, error_estimate, evaluations, converged).
     """

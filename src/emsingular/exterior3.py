@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable, Mapping
 
 from .errors import OnSupportError
@@ -274,11 +273,3 @@ def laplacian(a: FormField, point: Point3, t: float = 0.0,
             out[idx] += v
     return out
 
-
-def basis_indices(degree: int) -> tuple:
-    return BASIS[degree]
-
-
-def component_count(degree: int) -> int:
-    """binomial(3, degree)."""
-    return len(list(combinations(AXES, degree)))

@@ -1,6 +1,6 @@
 """Field evaluators: static magnetic, static electric, retarded."""
 
-from .base import PotentialResult, e_from_potentials
+from .base import PotentialResult
 from .medium import VACUUM, MediumConstants
 
-__all__ = ["PotentialResult", "e_from_potentials", "MediumConstants", "VACUUM"]
+__all__ = ["PotentialResult", "MediumConstants", "VACUUM"]

@@ -1,10 +1,9 @@
-"""Shared result container and finite-difference helpers."""
+"""Shared result container."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 from ..geometry import Point3, Vec3
 
@@ -31,54 +30,3 @@ class PotentialResult:
                 -self.a.x * s + self.a.y * c,
                 self.a.z)
 
-
-def default_fd_step(point: Point3) -> float:
-    return 1e-5 * max(1.0, point.norm())
-
-
-def grad_scalar(f: Callable[[Point3], float], point: Point3,
-                h: float | None = None) -> Vec3:
-    """Central-difference gradient of a scalar function."""
-    if h is None:
-        h = default_fd_step(point)
-    return Vec3(*((f(point.shifted(ax, h)) - f(point.shifted(ax, -h)))
-                  / (2.0 * h) for ax in range(3)))
-
-
-def div_vector(f: Callable[[Point3], Vec3], point: Point3,
-               h: float | None = None) -> float:
-    """Central-difference divergence of a vector field."""
-    if h is None:
-        h = default_fd_step(point)
-    total = 0.0
-    for ax in range(3):
-        hi = f(point.shifted(ax, h)).as_tuple()[ax]
-        lo = f(point.shifted(ax, -h)).as_tuple()[ax]
-        total += (hi - lo) / (2.0 * h)
-    return total
-
-
-def curl_vector(f: Callable[[Point3], Vec3], point: Point3,
-                h: float | None = None) -> Vec3:
-    """Central-difference curl of a vector field."""
-    if h is None:
-        h = default_fd_step(point)
-    cols = []
-    for ax in range(3):
-        hi = f(point.shifted(ax, h))
-        lo = f(point.shifted(ax, -h))
-        cols.append((hi - lo) / (2.0 * h))
-    # cols[j] = d(field)/dx_j
-    return Vec3(cols[1].z - cols[2].y,
-                cols[2].x - cols[0].z,
-                cols[0].y - cols[1].x)
-
-
-def e_from_potentials(phi: Callable[[Point3], float],
-                      a_dot: Callable[[Point3], Vec3] | None,
-                      point: Point3, h: float | None = None) -> Vec3:
-    """E = -grad phi - dA/dt; pass a_dot=None for statics."""
-    e = -1.0 * grad_scalar(phi, point, h)
-    if a_dot is not None:
-        e = e - a_dot(point)
-    return e

@@ -89,9 +89,14 @@ def plate_wire_potential(z0: float, lam: float, plate_gap: float, y: Point3,
 
     res = sum_series(term, cfg, consecutive=4)
     phi = pref * res.value
+    # The last terms understate a slow tail (q near 1): each term is at
+    # most q^n / n, so the terms after the N-th sum to at most
+    # q^(N+1) / ((N+1)(1-q)).
+    n = res.evaluations + 1
+    tail = q ** n / (n * -math.expm1(-math.pi * x / L))
     return PotentialResult(y, Vec3(0.0, 0.0, 0.0), phi, {
         "terms": res.evaluations,
-        "series_error": abs(pref) * res.error_estimate,
+        "series_error": abs(pref) * max(res.error_estimate, tail),
         "converged": res.converged,
     })
 

@@ -2,7 +2,7 @@
 
 Specialized evaluators (loop, helix, solenoid sheet) reduce the layer
 integral to one-dimensional quadratures in the source chart and run
-them through the compiled core when it is available.  The generic
+them through the numerical core (`_core`).  The generic
 curve evaluator handles arbitrary CurveSource descriptions (polylines
 in particular) with the adaptive integrator; it is slower but shares
 no code path with the specialized ones, which makes it a useful

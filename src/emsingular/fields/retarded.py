@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .. import kernels
+from .. import exterior3, kernels
 from ..errors import CoincidentPointsError, ConvergenceError, SuperluminalError
 from ..geometry import Point3, Vec3
 from ..sources import PointSource
-from .base import PotentialResult, default_fd_step
+from .base import PotentialResult
 from .medium import VACUUM, MediumConstants
 
 
@@ -144,7 +144,7 @@ def lorenz_gauge_residual(src: PointSource, y: Point3, t: float,
     a correct evaluator leaves a residual that is finite-difference
     noise, orders of magnitude below the scale."""
     if h is None:
-        h = default_fd_step(y)
+        h = exterior3.default_step(y)
     if dt is None:
         dt = h / medium.c
 

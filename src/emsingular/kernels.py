@@ -124,15 +124,3 @@ def plate_green(x: Point3, y: Point3, cfg: PlateGreen) -> float:
         )
     return value
 
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Names which kernel applies: 'free', 'retarded' or 'plate'.
-
-    params holds the kernel's own constants (c and omega for retarded,
-    the PlateGreen config for plate).  Purely descriptive; evaluators
-    take the concrete functions above.
-    """
-
-    kind: str
-    params: tuple = ()

@@ -259,9 +259,10 @@ def validate_scene(raw: dict) -> dict:
     q = out["quadrature"]
     if q["abs_tol"] <= 0.0 or q["rel_tol"] <= 0.0:
         raise SceneError("quadrature tolerances must be positive")
-    if not isinstance(q["max_subdivisions"], int) or q["max_subdivisions"] < 1:
-        raise SceneError("quadrature.max_subdivisions must be a positive "
-                         "integer")
+    n = q["max_subdivisions"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise SceneError("quadrature.max_subdivisions: need an integer >= 1, "
+                         "got %r" % (n,))
 
     fd = raw.get("fd_step")
     if fd is not None:

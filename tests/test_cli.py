@@ -79,6 +79,22 @@ def test_validate_unknown_key_names_the_path(tmp_path, capsys):
     assert "sources[0].wobble" in err
 
 
+def test_boolean_max_subdivisions_refused(tmp_path, capsys):
+    # a YAML boolean is an int to Python; it would run with one panel
+    scene = write_scene(tmp_path, LOOP_SCENE + "quadrature:\n"
+                        "  max_subdivisions: true\n")
+    assert cli.main(["validate", "--scene", scene]) == 1
+    assert "quadrature.max_subdivisions" in capsys.readouterr().err
+    scene = write_scene(tmp_path, LOOP_SCENE + "quadrature:\n"
+                        "  max_subdivisions: 50\n", name="fifty.yaml")
+    assert cli.main(["validate", "--scene", scene]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "map.csv")
+    assert cli.main(["run", "--scene", scene, "--out", out,
+                     "--set", "quadrature.max_subdivisions=true"]) == 1
+    assert "quadrature.max_subdivisions" in capsys.readouterr().err
+
+
 def test_validate_missing_file(tmp_path, capsys):
     assert cli.main(["validate", "--scene", str(tmp_path / "nope.yaml")]) == 1
     assert "cannot read scene file" in capsys.readouterr().err

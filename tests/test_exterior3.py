@@ -11,7 +11,6 @@ import math
 
 import pytest
 
-from emsingular import exterior3
 from emsingular.exterior3 import (BASIS, ETA_SIGN, HODGE_TABLE, FormField,
                                   codifferential, codifferential_field,
                                   d_field, d_numeric, eta, hodge,
@@ -24,8 +23,6 @@ TOL2 = 10.0 * H * H  # second-difference identity budget
 
 def test_basis_counts():
     assert [len(BASIS[p]) for p in range(4)] == [1, 3, 3, 1]
-    for p in range(4):
-        assert exterior3.component_count(p) == len(BASIS[p])
 
 
 def test_hodge_table_is_involutive_with_plus_sign():

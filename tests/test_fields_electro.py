@@ -87,6 +87,19 @@ def test_plate_wire_series_matches_closed_form():
         assert series.phi == pytest.approx(closed, rel=1e-10)
 
 
+@pytest.mark.parametrize("x", [0.01, 0.05, 0.1])
+def test_plate_wire_error_bounds_the_slow_tail(x):
+    # near the wire plane the terms fall off like q^n / n with q close
+    # to 1, and the last few terms are far smaller than the tail
+    lam, L = 1e-9, 1.0
+    for k in range(1, 20):
+        for j in range(1, 10):
+            z0, y = 0.1 * j, Point3(x, 0.0, 0.05 * k)
+            res = electro.plate_wire_potential(z0, lam, L, y, CFG)
+            closed = electro.plate_wire_closed(z0, lam, L, y)
+            assert abs(res.phi - closed) <= res.diagnostics["series_error"]
+
+
 def test_plate_wire_boundary_values_are_zero():
     z0, lam, L = 0.3, 1e-9, 2.0
     top = electro.plate_wire_potential(z0, lam, L, Point3(0.5, 0.0, 2.0),

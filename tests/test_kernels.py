@@ -11,7 +11,8 @@ import math
 import mpmath
 import pytest
 
-from emsingular import kernels
+from emsingular import _core
+from emsingular._core import _ref
 from emsingular.errors import (CoincidentPointsError, ConvergenceError,
                                OutOfDomainError)
 from emsingular.exterior3 import FormField, laplacian
@@ -175,6 +176,8 @@ def test_plate_green_config_validation():
         PlateGreen(1.0, tol=0.0)
 
 
-def test_kernel_spec_is_descriptive():
-    spec = kernels.KernelSpec("plate", (PlateGreen(1.0),))
-    assert spec.kind == "plate"
+def test_core_is_the_pure_python_kernels():
+    assert _core.backend_name() == "pure-python"
+    for name in ("bessel_k0", "loop_phi_integral", "helix_integrals",
+                 "solenoid_integrals", "plate_green_sum"):
+        assert getattr(_core, name) is getattr(_ref, name)

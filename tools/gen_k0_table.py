@@ -6,9 +6,11 @@ Writes src/emsingular/_core/_k0_table.py.  Run from the repo root:
 
 For x in [2, 700] we expand g(x) = sqrt(x) e^x K0(x), a slowly varying
 function tending to sqrt(pi/2), as a Chebyshev series in the variable
-t = affine(1/x) on octave segments.  Segment ends have x-ratio 2 so the
-singularity of g at 1/x = 0 ... sorry, at x = 0 ... stays well outside
-each Bernstein ellipse and ~20 coefficients give ~1e-15.
+t = affine(1/x) on octave segments.  Segment ends have x-ratio 2 (the
+last, 256 to 700, a little more), so the singularity of g at 1/x = 0,
+where its asymptotic series in 1/x diverges, lies at t = -3 (about -2.2
+on the last segment): well outside each Bernstein ellipse, and ~20
+coefficients give ~1e-15.
 
 Coefficients are computed with mpmath at 50 significant digits and
 frozen as plain floats; the runtime never imports mpmath.
