@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Callable
 
 from . import exterior3, sources
 from .errors import (ConvergenceError, OnSupportError, OutOfDomainError)
@@ -115,7 +114,7 @@ def _build_part(s: dict, medium: MediumConstants,
     if kind == "polyline":
         pts = [Point3(*p) for p in s["points"]]
         src = sources.polyline(pts, s["current"], s["closed"])
-        chain = pts + [pts[0]] if s["closed"] else pts
+        chain = src.params["vertices"]
 
         def evaluate(y: Point3, t: float):
             res = magneto.curve_potential(src, y, cfg, medium)

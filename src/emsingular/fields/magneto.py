@@ -2,11 +2,12 @@
 
 Specialized evaluators (loop, helix, solenoid sheet) reduce the layer
 integral to one-dimensional quadratures in the source chart and run
-them through the numerical core (`_core`).  The generic
-curve evaluator handles arbitrary CurveSource descriptions (polylines
-in particular) with the adaptive integrator; it is slower but shares
-no code path with the specialized ones, which makes it a useful
-cross-check.
+them through the numerical core (`_core`).  The generic curve
+evaluator sums a polyline in closed form, one logarithm per straight
+segment, since a segment's Leray weight and direction are constant.
+Any other CurveSource takes the adaptive chart quadrature: slower, but
+it shares no code with the specialized evaluators, so tests use it as
+a cross-check.
 
 All results are exterior to the source; evaluation on or numerically
 against the support raises OnSupportError.  The source geometry decides
@@ -32,6 +33,10 @@ from .base import PotentialResult
 from .medium import VACUUM, MediumConstants
 
 FOUR_PI = 4.0 * math.pi
+EPS = 2.0 ** -52
+# rounding bound of the polyline closed form per segment, in units of
+# EPS; see _segment_integral
+SEGMENT_ERROR_C = 16.0
 
 
 def _support_floor(scale: float) -> float:
@@ -153,42 +158,41 @@ def solenoid_potential(radius: float, pitch: float, length: float,
 def curve_potential(src: CurveSource, y: Point3,
                     cfg: QuadConfig | None = None,
                     medium: MediumConstants = VACUUM) -> PotentialResult:
-    """Vector potential of a generic CurveSource by direct quadrature.
+    """Vector potential of a generic CurveSource.
 
     Integrates mu * i0 * kernel(y, x(s)) * W(s) * omega_f(d/ds) over the
-    chart.  Polyline charts are split at the vertices so each panel sees
-    a smooth integrand, and their distance to y is exact over those
-    segments; other curves are scanned (min_distance_to_curve).
+    chart.  A polyline takes the closed form of each straight segment
+    (_segment_integral), and its distance to y is exact over those
+    segments.  Any other curve takes the adaptive chart quadrature, and
+    its distance is scanned (min_distance_to_curve).
     """
     cfg = cfg or QuadConfig()
     s0, s1 = src.chart
     scale = max(abs(v) for pt in (src.point(s0), src.point(s1))
                 for v in pt.as_tuple())
+    floor = _support_floor(max(scale, 1.0))
     if src.kind == "polyline":
-        breaks = [float(k) for k in range(int(s0), int(s1) + 1)]
-        corners = [src.point(k) for k in breaks]
-        d = min(segment_distance(y, p0, p1)
-                for p0, p1 in zip(corners[:-1], corners[1:]))
-    else:
-        breaks = [s0, s1]
-        d = min_distance_to_curve(src.point, s0, s1, y)
-    _refuse_on_support(d, _support_floor(max(scale, 1.0)))
+        chain = src.params["vertices"]
+        segments = list(zip(chain[:-1], chain[1:]))
+        _refuse_on_support(min(segment_distance(y, p0, p1)
+                               for p0, p1 in segments), floor)
+        return _polyline_potential(segments, src.i0, y, medium)
+    _refuse_on_support(min_distance_to_curve(src.point, s0, s1, y), floor)
     comps = [0.0, 0.0, 0.0]
     err = 0.0
     evals = 0
     ok = True
-    for left, right in zip(breaks[:-1], breaks[1:]):
-        for ax in range(3):
-            def integrand(s: float, ax: int = ax) -> float:
-                f = kernels.free_kernel(y, src.point(s))
-                w = src.w_field(s).as_tuple()[ax]
-                return f * w * src.chart_weight(s)
+    for ax in range(3):
+        def integrand(s: float, ax: int = ax) -> float:
+            f = kernels.free_kernel(y, src.point(s))
+            w = src.w_field(s).as_tuple()[ax]
+            return f * w * src.chart_weight(s)
 
-            res = integrate_adaptive(integrand, left, right, cfg)
-            comps[ax] += res.value
-            err += res.error_estimate
-            evals += res.evaluations
-            ok = ok and res.converged
+        res = integrate_adaptive(integrand, s0, s1, cfg)
+        comps[ax] = res.value
+        err += res.error_estimate
+        evals += res.evaluations
+        ok = ok and res.converged
     pref = medium.mu * src.i0
     vec = pref * Vec3(*comps)
     return PotentialResult(y, vec, 0.0, {
@@ -196,6 +200,74 @@ def curve_potential(src: CurveSource, y: Point3,
         "evaluations": evals,
         "converged": ok,
     })
+
+
+def _polyline_potential(segments: list[tuple[Point3, Point3]], i0: float,
+                        y: Point3, medium: MediumConstants) -> PotentialResult:
+    """(mu i0 / 4 pi) * sum_k v_k u_k over the straight segments, with
+    v_k = int ds / |y - x(s)| along segment k and u_k its direction.
+
+    chart_error bounds the rounding of every component:
+    |mu i0 / 4 pi| * SEGMENT_ERROR_C * EPS * sum_k (1 + |v_k| + kappa_k).
+    """
+    xs, ys, zs = [], [], []
+    size = 0.0
+    for p0, p1 in segments:
+        v, (ux, uy, uz), kappa = _segment_integral(y, p0, p1)
+        xs.append(v * ux)
+        ys.append(v * uy)
+        zs.append(v * uz)
+        size += 1.0 + abs(v) + kappa
+    pref = medium.mu * i0 / FOUR_PI
+    vec = Vec3(pref * math.fsum(xs), pref * math.fsum(ys),
+               pref * math.fsum(zs))
+    return PotentialResult(y, vec, 0.0, {
+        "chart_error": abs(pref) * SEGMENT_ERROR_C * EPS * size,
+        "evaluations": 0,
+        "converged": True,
+    })
+
+
+def _segment_integral(y: Point3, p0: Point3, p1: Point3
+                      ) -> tuple[float, tuple[float, float, float], float]:
+    """(v, u, kappa) for the straight segment from p0 to p1.
+
+    v = int_0^L ds / |y - p0 - s u| = asinh((L - l)/d) + asinh(l/d),
+    u the unit direction, L the length, l = (y - p0) . u and d the
+    distance from the line.  Each branch adds like-signed terms only:
+    beyond p0 (l <= 0) v = ln((R1 + L - l) / (R0 - l)), beyond p1
+    (l >= L) v = ln((R0 + l) / (R1 + l - L)), R0 = |y - p0| and
+    R1 = |y - p1|, with l and l - L projected from the nearer end.
+
+    Rounding: each R_i and projection is within a few ulps of R_i, so
+    a log ratio is off by at most ~15 u (u = EPS / 2) plus the
+    logarithm's own ulp; that includes the ulp of a ratio near 1 far
+    along the extension, an absolute error.  Between the ends, d comes
+    from the nearer end by a cross product, within ~5 u * min(R0, R1),
+    and the asinh pair multiplies that by at most 2 / d: the problem
+    itself is that ill-conditioned near a segment.  kappa = min(R0,
+    R1) / d there (0 beyond the ends), so |dv| <= EPS * (8 + |v| +
+    5 kappa), and forming pref * sum v_k u_k adds ~4 EPS |v_k|.
+    """
+    dx, dy, dz = p1.x - p0.x, p1.y - p0.y, p1.z - p0.z
+    length = math.hypot(dx, dy, dz)
+    ux, uy, uz = dx / length, dy / length, dz / length
+    ax, ay, az = y.x - p0.x, y.y - p0.y, y.z - p0.z
+    bx, by, bz = y.x - p1.x, y.y - p1.y, y.z - p1.z
+    r0 = math.hypot(ax, ay, az)
+    r1 = math.hypot(bx, by, bz)
+    l0 = ax * ux + ay * uy + az * uz
+    l1 = bx * ux + by * uy + bz * uz
+    if l0 <= 0.0:
+        return math.log((r1 - l1) / (r0 - l0)), (ux, uy, uz), 0.0
+    if l1 >= 0.0:
+        return math.log((r0 + l0) / (r1 + l1)), (ux, uy, uz), 0.0
+    near = r0
+    if r1 < r0:
+        ax, ay, az, near = bx, by, bz, r1
+    d = math.hypot(ay * uz - az * uy, az * ux - ax * uz, ax * uy - ay * ux)
+    return (math.asinh(-l1 / d) + math.asinh(l0 / d), (ux, uy, uz),
+            near / d)
 
 
 # ---------------------------------------------------------------------------

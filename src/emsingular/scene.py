@@ -138,19 +138,28 @@ def _axis_values(axis: dict) -> list:
 # loading
 
 
-class _SceneLoader(yaml.SafeLoader):
-    """SafeLoader that also reads YAML 1.2 floats with an exponent, such
-    as 3.0e7 or 1e-9.
+_EXPONENT_FLOAT = re.compile(
+    r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$")
+
+
+def _scene_loader(base: type) -> type:
+    """`base` plus a resolver that reads YAML 1.2 floats with an
+    exponent, such as 3.0e7 or 1e-9.
 
     Under YAML 1.1 a float needs a dot and a signed exponent, so PyYAML
     reads those as strings.  The added resolver comes after the built-in
     ones, so every scalar they resolve keeps its type and value."""
+    class Loader(base):
+        pass
+
+    Loader.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT,
+                                 list("-+.0123456789"))
+    return Loader
 
 
-_SceneLoader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
-    list("-+.0123456789"))
+# libyaml's parser where PyYAML was built with it; the resolver and the
+# constructor are the same Python code either way
+_SceneLoader = _scene_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 def _load_yaml(stream):

@@ -195,6 +195,8 @@ def polyline(points: list[Point3], current: float,
     Chart parameter s in [0, n_segments); s = k + u walks segment k.
     The Leray data is given directly (unit tangent, weight 1) since a
     polyline has no global foliation; contraction is 1 so I0 = current.
+    params["vertices"] is the vertex chain, closed by its first vertex
+    when `closed`.
     """
     pts = list(points)
     if closed:
@@ -232,7 +234,8 @@ def polyline(points: list[Point3], current: float,
 
     return CurveSource(point, tangent, leray, w_field, current,
                        (0.0, float(nseg)), closed, "polyline",
-                       {"current": current, "n_segments": nseg})
+                       {"current": current, "n_segments": nseg,
+                        "vertices": tuple(pts)})
 
 
 def _calibrate(src: CurveSource, current: float) -> CurveSource:

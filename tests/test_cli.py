@@ -5,13 +5,16 @@ the same parsing path a user hits.  Determinism matters here: two runs
 of the same scene must produce byte-identical CSV, threaded or not.
 """
 
+import ast
 import csv
 import json
 import textwrap
+from pathlib import Path
 
-import pytest
+import yaml
 
 from emsingular import cli, fieldmap
+from emsingular import scene as scene_mod
 from emsingular import selfcheck as selfcheck_mod
 from emsingular.selfcheck import CheckResult
 
@@ -128,6 +131,55 @@ def test_override_not_an_assignment(tmp_path, capsys):
     scene = write_scene(tmp_path, LOOP_SCENE)
     assert cli.main(["validate", "--scene", scene, "--set", "oops"]) == 1
     assert "path=value" in capsys.readouterr().err
+
+
+def test_malformed_yaml_refused_with_its_position(tmp_path, capsys):
+    # the flow sequence opened on line 2, column 10 is never closed
+    scene = write_scene(tmp_path, LOOP_SCENE.replace(
+        "sources:\n  - type: loop\n    radius: 1.0\n    current: 2.0\n",
+        "sources: [{type: loop, radius: 1.0, current: 2.0}\n"))
+    assert cli.main(["validate", "--scene", scene]) == 1
+    err = capsys.readouterr().err
+    assert "scene file is not valid YAML: " in err
+    assert "line 2, column 10" in err
+
+    scene = write_scene(tmp_path, LOOP_SCENE)
+    assert cli.main(["validate", "--scene", scene,
+                     "--set", "sources.0.current=[1, 2"]) == 1
+    err = capsys.readouterr().err
+    assert "override value '[1, 2' is not valid YAML: " in err
+    assert "line 1, column 1" in err
+
+
+def scene_texts():
+    """Every YAML scene the tests write: the module-level scene strings
+    of tests/, with SQUARE_SCENE's CLOSE] in each form its test uses."""
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Constant)
+                    and str(node.value.value).startswith("schema:")):
+                text = textwrap.dedent(node.value.value)
+                for tail in ("]\n    closed: true", "]\n    closed: false",
+                             ", [0.0, 0.0, 0.0]]"):
+                    yield text.replace("CLOSE]", tail)
+
+
+def test_scenes_load_alike_with_either_yaml_parser():
+    # the scene loader parses with libyaml where PyYAML has it; the
+    # pure-Python parser with the same resolver must agree on every scene
+    assert issubclass(scene_mod._SceneLoader,
+                      getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    pure = scene_mod._scene_loader(yaml.SafeLoader)
+    texts = sorted(set(scene_texts()))
+    assert len(texts) == 7
+    for text in texts:
+        raws = [yaml.load(text, Loader=loader)
+                for loader in (pure, scene_mod._SceneLoader)]
+        assert repr(raws[0]) == repr(raws[1])
+        hashes = [scene_mod.scene_hash(scene_mod.validate_scene(raw))
+                  for raw in raws]
+        assert hashes[0] == hashes[1]
 
 
 def test_tol_flag_is_quadrature_shorthand(tmp_path, capsys):

@@ -7,14 +7,16 @@ z = 0.6, computed with a 4e6-segment midpoint sum over the wire
 
 import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 
+from emsingular import kernels
 from emsingular.errors import InvalidGeometryError, OnSupportError
 from emsingular.fields import magneto
 from emsingular.fields.medium import MU0, VACUUM, MediumConstants
 from emsingular.geometry import EZ, Point3, Vec3
-from emsingular.quad import QuadConfig
+from emsingular.quad import QuadConfig, integrate_adaptive
 from emsingular.sources import circular_loop, polyline
 
 CFG = QuadConfig(abs_tol=1e-13, rel_tol=1e-10)
@@ -275,6 +277,130 @@ def test_closed_polyline_refuses_points_on_its_segments(y):
     src = polyline(square, 1.0, closed=True)
     with pytest.raises(OnSupportError):
         magneto.curve_potential(src, y, CFG)
+
+
+# ---------------------------------------------------------------------------
+# polyline closed form against the Leray chart quadrature and 60 digits
+
+PI_60 = Decimal("3.14159265358979323846264338327950288419716939937510582097")
+
+UNIT_SQUARE = [Point3(0, 0, 0), Point3(1, 0, 0), Point3(1, 1, 0),
+               Point3(0, 1, 0)]
+SKEW_HEXAGON = [Point3(0.137, -0.421, 0.613), Point3(0.952, 0.071, 0.338),
+                Point3(1.318, 0.874, -0.127), Point3(0.644, 1.503, 0.291),
+                Point3(-0.213, 1.129, 0.805), Point3(-0.477, 0.389, 0.152)]
+ZIGZAG = [Point3(-0.3, 0.2, 0.1), Point3(0.7, 0.9, -0.4),
+          Point3(1.9, 0.1, 0.3), Point3(2.2, 1.3, 1.1)]
+
+
+def unit(v):
+    return v / v.norm()
+
+
+def probe_points(vertices):
+    """(label, point): grid points, points 1e-6 from a segment interior
+    and from a vertex, points on a segment's line beyond each end, and
+    far-field points at 100 times the size of the polyline."""
+    p0, p1, p2 = vertices[0], vertices[1], vertices[2]
+    along = p1 - p0
+    normal = unit(along.cross(p2 - p1))
+    centre = Point3(*(sum(c) / len(vertices)
+                      for c in zip(*(p.as_tuple() for p in vertices))))
+    size = max((p - centre).norm() for p in vertices)
+    grid = [("grid%d" % i, centre + Vec3(dx, dy, 0.2))
+            for i, (dx, dy) in enumerate((dx, dy) for dx in (-0.8, 0.3, 1.7)
+                                         for dy in (-0.6, 0.9))]
+    return grid + [
+        ("near_segment", p0 + 0.37 * along + 1e-6 * normal),
+        ("near_vertex", p1 + 1e-6 * unit(Vec3(1.0, 2.0, 3.0))),
+        ("beyond_start", p0 - 0.5 * along),
+        ("beyond_end", p1 + 0.5 * along),
+        ("far0", centre + 100.0 * size * unit(Vec3(0.3, -0.5, 0.8))),
+        ("far1", centre + 100.0 * size * unit(Vec3(-0.9, 0.1, -0.2))),
+    ]
+
+
+POLYLINES = [("square", UNIT_SQUARE, True),
+             ("skew_hexagon", SKEW_HEXAGON, True),
+             ("open_zigzag", ZIGZAG, False)]
+POLYLINE_CASES = [pytest.param(verts, closed, y, id="%s-%s" % (name, label))
+                  for name, verts, closed in POLYLINES
+                  for label, y in probe_points(verts)]
+
+
+def leray_chart_potential(src, y, cfg):
+    """Per-segment adaptive quadrature of free_kernel * W * omega_f(d/ds)
+    over the chart, the paper's route for any curve: (a, error)."""
+    comps, err = [0.0, 0.0, 0.0], 0.0
+    for k in range(src.params["n_segments"]):
+        for ax in range(3):
+            def integrand(s, ax=ax):
+                return (kernels.free_kernel(y, src.point(s))
+                        * src.w_field(s).as_tuple()[ax]
+                        * src.chart_weight(s))
+
+            res = integrate_adaptive(integrand, k, k + 1, cfg)
+            comps[ax] += res.value
+            err += res.error_estimate
+    pref = MU0 * src.i0
+    return pref * Vec3(*comps), abs(pref) * err
+
+
+def exact_polyline_potential(vertices, current, y):
+    """mu0 I / (4 pi) * sum_k v_k u_k in 60-digit decimals from the
+    float inputs as given, v_k = asinh((L - l)/d) + asinh(l/d); on a
+    segment's line (d = 0) the log ratio of the same integral."""
+    def norm(v):
+        return sum(c * c for c in v).sqrt()
+
+    def asinh(x):
+        return (abs(x) + (x * x + 1).sqrt()).ln().copy_sign(x)
+
+    with localcontext() as ctx:
+        ctx.prec = 60
+        yd = [Decimal(c) for c in y.as_tuple()]
+        total = [Decimal(0)] * 3
+        for p0, p1 in zip(vertices[:-1], vertices[1:]):
+            a = [Decimal(c) for c in p0.as_tuple()]
+            b = [Decimal(c) for c in p1.as_tuple()]
+            seg = [bi - ai for ai, bi in zip(a, b)]
+            length = norm(seg)
+            u = [c / length for c in seg]
+            r = [yi - ai for yi, ai in zip(yd, a)]
+            l = sum(ri * ui for ri, ui in zip(r, u))
+            d = norm([r[1] * u[2] - r[2] * u[1], r[2] * u[0] - r[0] * u[2],
+                      r[0] * u[1] - r[1] * u[0]])
+            r0, r1 = norm(r), norm([yi - bi for yi, bi in zip(yd, b)])
+            if d > 0:
+                v = asinh((length - l) / d) + asinh(l / d)
+            elif l < 0:
+                v = ((r1 + length - l) / (r0 - l)).ln()
+            else:
+                v = ((r0 + l) / (r1 + l - length)).ln()
+            total = [t + v * ui for t, ui in zip(total, u)]
+        pref = Decimal(MU0) * Decimal(current) / (4 * PI_60)
+        return [pref * t for t in total]
+
+
+@pytest.mark.parametrize("vertices, closed, y", POLYLINE_CASES)
+def test_polyline_closed_form_matches_chart_quadrature(vertices, closed, y):
+    src = polyline(vertices, 1.5, closed=closed)
+    got = magneto.curve_potential(src, y, CFG)
+    oracle, oracle_err = leray_chart_potential(src, y, CFG)
+    tol = oracle_err + got.diagnostics["chart_error"]
+    for g, o in zip(got.a.as_tuple(), oracle.as_tuple()):
+        assert abs(g - o) <= tol
+
+
+@pytest.mark.parametrize("vertices, closed, y", POLYLINE_CASES)
+def test_polyline_closed_form_error_bounds_exact_value(vertices, closed, y):
+    src = polyline(vertices, 1.5, closed=closed)
+    got = magneto.curve_potential(src, y, CFG)
+    chain = vertices + vertices[:1] if closed else vertices
+    exact = exact_polyline_potential(chain, 1.5, y)
+    bound = Decimal(got.diagnostics["chart_error"])
+    for g, e in zip(got.a.as_tuple(), exact):
+        assert abs(Decimal(g) - e) <= bound
 
 
 # ---------------------------------------------------------------------------

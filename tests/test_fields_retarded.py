@@ -17,7 +17,7 @@ from decimal import Decimal, localcontext
 import pytest
 
 from emsingular.errors import (CoincidentPointsError, SuperluminalError)
-from emsingular.fields.medium import C0, EPS0, VACUUM
+from emsingular.fields.medium import C0, EPS0
 from emsingular.fields import electro, retarded
 from emsingular.geometry import Point3, Vec3
 from emsingular.sources import static_point_charge, uniform_point_charge

@@ -5,9 +5,9 @@ import math
 import pytest
 
 from emsingular._core import _ref
-from emsingular.quad import (DEFAULT, QuadConfig, QuadResult,
-                             integrate_2d, integrate_adaptive,
-                             integrate_periodic, sum_series)
+from emsingular.quad import (QuadConfig, QuadResult, integrate_2d,
+                             integrate_adaptive, integrate_periodic,
+                             sum_series)
 
 CFG = QuadConfig(abs_tol=1e-12, rel_tol=1e-9)
 
