@@ -237,7 +237,7 @@ def _segment_integral(y: Point3, p0: Point3, p1: Point3
     distance from the line.  Each branch adds like-signed terms only:
     beyond p0 (l <= 0) v = ln((R1 + L - l) / (R0 - l)), beyond p1
     (l >= L) v = ln((R0 + l) / (R1 + l - L)), R0 = |y - p0| and
-    R1 = |y - p1|, with l and l - L projected from the nearer end.
+    R1 = |y - p1|; l is projected from p0 and l - L from p1.
 
     Rounding: each R_i and projection is within a few ulps of R_i, so
     a log ratio is off by at most ~15 u (u = EPS / 2) plus the
