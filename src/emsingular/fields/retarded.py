@@ -3,8 +3,9 @@
 The emission-time equation  t' + |y - x(t')| / c = t  has exactly one
 root when the trajectory stays subluminal, because the mismatch
 g(t') = t - t' - |y - x(t')|/c is strictly decreasing (its derivative
-is n.v/c - 1 < 0).  The solver brackets the root by doubling and then
-polishes with safeguarded Newton steps.
+is n.v/c - 1 < 0).  On the straight trajectory x(t) = x0 + t v the
+equation is a quadratic in the delay t - t' (Jackson, Classical
+Electrodynamics, 3rd ed., section 14.1), solved in closed form.
 
 Potentials follow the usual retarded form: the static Coulomb/vector
 factors evaluated at the emission point, amplified by the Doppler
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .. import exterior3, kernels
-from ..errors import CoincidentPointsError, ConvergenceError, SuperluminalError
+from ..errors import CoincidentPointsError, SuperluminalError
 from ..geometry import Point3, Vec3
 from ..sources import PointSource
 from .base import PotentialResult
@@ -39,70 +40,31 @@ class RetardedState:
 
 
 def solve_retarded_time(src: PointSource, y: Point3, t: float,
-                        c: float = VACUUM.c, tol: float = 1e-12,
-                        max_iter: int = 200) -> float:
+                        c: float = VACUUM.c) -> float:
     """Emission time t' with t' + |y - x(t')|/c = t.
 
-    Newton stops once a step falls below tol times the light delay
-    t - t', or below a few ulps of t' (a large |t| with a short delay
-    leaves the delay coarser than tol can resolve)."""
-
-    def g(tp: float) -> float:
-        return t - tp - (y - src.position(tp)).norm() / c
-
-    def check_speed(tp: float) -> None:
-        sp = src.velocity(tp).norm()
-        if sp >= c:
-            raise SuperluminalError(
-                "trajectory speed %g exceeds c = %g at t = %g" % (sp, c, tp))
-
-    check_speed(t)
-    r_now = (y - src.position(t)).norm()
-    if r_now == 0.0:
+    With w = y - x(t) and k = c^2 - v.v the delay tau = t - t' is the
+    positive root of k tau^2 - 2 (w.v) tau - |w|^2 = 0.  Each branch
+    below adds like signs, so neither cancels."""
+    v = src.v
+    vv = v.dot(v)
+    if vv >= c * c:
+        raise SuperluminalError(
+            "trajectory speed %g is not below c = %g" % (math.sqrt(vv), c))
+    k = c * c - vv
+    w = y - src.position(t)
+    w2 = w.dot(w)
+    if w2 == 0.0:
         return t     # y is the present position: zero delay
-    # g(t) < 0 now; expand downward until g turns positive
-    hi = t
-    step = max(r_now / c, 1e-9 * (1.0 + abs(t)))
-    lo = t - step
-    for _ in range(200):
-        check_speed(lo)
-        if g(lo) > 0.0:
-            break
-        step *= 2.0
-        lo = t - step
-    else:
-        raise ConvergenceError("failed to bracket the emission time")
-
-    tp = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        sep = y - src.position(tp)
-        r = sep.norm()
-        gv = t - tp - r / c
-        if r > 0.0:
-            dg = -1.0 + sep.dot(src.velocity(tp)) / (r * c)
-        else:
-            dg = -1.0
-        if gv > 0.0:
-            lo = tp
-        else:
-            hi = tp
-        t_next = tp - gv / dg
-        # tested before the bracket guard: at the root the Newton step
-        # is zero and lands on a bracket end, which is no reason to bisect
-        if abs(t_next - tp) <= max(tol * (t - t_next),
-                                   4.0 * math.ulp(t_next)):
-            check_speed(t_next)
-            return t_next
-        if not (lo < t_next < hi):
-            t_next = 0.5 * (lo + hi)
-        tp = t_next
-    raise ConvergenceError("emission-time iteration did not converge")
+    wv = w.dot(v)
+    root = math.sqrt(wv * wv + k * w2)
+    tau = (wv + root) / k if wv >= 0.0 else w2 / (root - wv)
+    return t - tau
 
 
 def retarded_state(src: PointSource, y: Point3, t: float,
-                   medium: MediumConstants = VACUUM,
-                   tol: float = 1e-12) -> RetardedState:
-    t_ret = solve_retarded_time(src, y, t, medium.c, tol)
+                   medium: MediumConstants = VACUUM) -> RetardedState:
+    t_ret = solve_retarded_time(src, y, t, medium.c)
     x_ret = src.position(t_ret)
     v_ret = src.velocity(t_ret)
     sep = y - x_ret
@@ -116,14 +78,13 @@ def retarded_state(src: PointSource, y: Point3, t: float,
 
 
 def lienard_wiechert(src: PointSource, y: Point3, t: float,
-                     medium: MediumConstants = VACUUM,
-                     tol: float = 1e-12) -> PotentialResult:
+                     medium: MediumConstants = VACUUM) -> PotentialResult:
     """Scalar and vector potentials of the moving charge at (y, t).
 
         phi = (q / eps) * kernel(y, x_ret) * doppler
         a   = mu * q * kernel(y, x_ret) * doppler * v_ret
     """
-    st = retarded_state(src, y, t, medium, tol)
+    st = retarded_state(src, y, t, medium)
     k = kernels.free_kernel(y, st.x_ret)
     phi = (src.q / medium.eps) * k * st.doppler
     a = (medium.mu * src.q * k * st.doppler) * st.v_ret

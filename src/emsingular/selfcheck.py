@@ -440,7 +440,7 @@ def check_boosted_coulomb() -> CheckResult:
         y = Point3(rng.uniform(-2, 2), rng.uniform(0.5, 2.5),
                    rng.uniform(-2, 2))
         t = rng.uniform(-3e-9, 3e-9)
-        got = retarded.lienard_wiechert(src, y, t, tol=1e-12)
+        got = retarded.lienard_wiechert(src, y, t)
         present = y - (x0 + t * v)
         lpar = present.dot(vhat)
         lperp2 = present.dot(present) - lpar * lpar

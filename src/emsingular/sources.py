@@ -330,24 +330,26 @@ def solenoid_sheet(radius: float, pitch: float, length: float,
 
 @dataclass(frozen=True)
 class PointSource:
-    """Point charge on a trajectory (possibly static)."""
+    """Point charge q on the straight trajectory x(t) = x0 + t v."""
 
     q: float
-    position: Callable[[float], Point3]
-    velocity: Callable[[float], Vec3]
-    kind: str = "point"
-    params: dict = field(default_factory=dict)
+    x0: Point3
+    v: Vec3
+
+    def position(self, t: float) -> Point3:
+        return self.x0 + t * self.v
+
+    def velocity(self, t: float) -> Vec3:
+        return self.v
 
 
 def static_point_charge(q: float, at: Point3) -> PointSource:
-    return PointSource(q, lambda t: at, lambda t: Vec3(0.0, 0.0, 0.0),
-                       "point", {"q": q, "static": True})
+    return PointSource(q, at, Vec3(0.0, 0.0, 0.0))
 
 
 def uniform_point_charge(q: float, x0: Point3, v: Vec3) -> PointSource:
     """Charge moving with constant velocity: x(t) = x0 + v t."""
-    return PointSource(q, lambda t: x0 + t * v, lambda t: v,
-                       "point", {"q": q, "uniform": True})
+    return PointSource(q, x0, v)
 
 
 @dataclass(frozen=True)

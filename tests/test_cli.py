@@ -172,7 +172,7 @@ def test_scenes_load_alike_with_either_yaml_parser():
                       getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     pure = scene_mod._scene_loader(yaml.SafeLoader)
     texts = sorted(set(scene_texts()))
-    assert len(texts) == 7
+    assert len(texts) == 8
     for text in texts:
         raws = [yaml.load(text, Loader=loader)
                 for loader in (pure, scene_mod._SceneLoader)]
