@@ -1,10 +1,12 @@
 """Quadrature engines: frozen oracles, determinism, honest errors."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
 from emsingular._core import _ref
+from emsingular._core._gk import WG, WGK, XGK
 from emsingular.quad import (QuadConfig, QuadResult, integrate_2d,
                              integrate_adaptive, integrate_periodic,
                              sum_series)
@@ -85,6 +87,29 @@ def test_result_addition_combines_fields():
     c = a + b
     assert (c.value, c.error_estimate, c.evaluations, c.converged) == \
         (3.0, 0.75, 30, False)
+
+
+def _rule_on_monomial(nodes, weights, centre_weight, k):
+    """Sum a symmetric rule over x^k on [-1, 1] in the order _panel
+    uses: the centre node first, then each pair of nodes."""
+    total = centre_weight * 0.0 ** k
+    for x, w in zip(nodes, weights):
+        total += w * ((-x) ** k + x ** k)
+    return total
+
+
+def test_gauss_kronrod_table_integrates_polynomials_exactly():
+    # K15 is exact for degree <= 22 and G7 for degree <= 13; with the
+    # table's rounding only, each sum is within a few ulps of 2/(k+1).
+    # A table cut to 15 digits misses by up to ~45 ulps (k = 0: 27).
+    kronrod = (XGK[:7], WGK[:7], WGK[7], 22)
+    gauss = (XGK[1:7:2], WG[:3], WG[3], 13)
+    for nodes, weights, centre, degree in (kronrod, gauss):
+        for k in range(degree + 1):
+            exact = Fraction(2, k + 1) if k % 2 == 0 else Fraction(0)
+            got = _rule_on_monomial(nodes, weights, centre, k)
+            ulp = math.ulp(float(exact)) if exact else 0.0
+            assert abs(Fraction(got) - exact) <= 8 * Fraction(ulp), (degree, k)
 
 
 def _quadratic_driver(f, a, b, abs_tol, rel_tol, max_sub):
