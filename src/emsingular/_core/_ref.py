@@ -5,6 +5,13 @@ kernel series.
 Everything here is scalar math on purpose: the functions are called
 point by point from the field evaluators, and this inner loop dominates
 runtime.  Functions return plain tuples of floats and ints.
+
+One adaptive driver, _adaptive_panels, integrates k components over
+one interval on shared nodes, and each component must meet the
+tolerance on its own.  A scalar integral is the k = 1 case (_adaptive).
+The helix and the cylinder sheet integrate all their components in one
+pass, so the chord they share is computed once per node; evaluation
+counts are nodes, each giving every component.
 """
 
 from __future__ import annotations
@@ -77,6 +84,12 @@ def _panel(f, a: float, b: float):
     return resk * half, abs(resk - resg) * abs(half)
 
 
+# (node, Kronrod weight, Gauss weight or 0) for the seven node pairs
+# +-XGK[j]; vector panels accumulate in this order, as _panel does
+_PAIRS = tuple(zip(XGK[:7], WGK[:7],
+                   (0.0, WG[0], 0.0, WG[1], 0.0, WG[2], 0.0)))
+
+
 def _rank(err: float, i: int):
     """Heap key of panel i: largest error first, lowest index among
     equals, as a linear scan with `>` picks.  Nothing compares greater
@@ -87,75 +100,115 @@ def _rank(err: float, i: int):
     return (-err, i)
 
 
-def _adaptive(f, a: float, b: float, abs_tol: float, rel_tol: float,
-              max_sub: int):
-    """Worst-first adaptive Gauss-Kronrod 7/15 driver.
+def _adaptive_panels(panel, a: float, b: float, abs_tol: float,
+                     rel_tol: float, max_sub: int):
+    """Worst-first adaptive Gauss-Kronrod 7/15 driver for k integrals
+    over one interval.
 
-    Bisects the panel with the largest error estimate (the lowest index
-    among equals) until the summed error meets max(abs_tol, rel_tol *
-    |sum|) or max_sub panels exist.  Both sums are math.fsum over all
-    panels.  A heap finds the worst panel, and running sums skip the two
-    fsum calls while the running error exceeds the threshold by more
-    than its rounding bound, so n panels cost O(n log n) rather than
-    O(n^2); the result is the same bit for bit.  quad.integrate_adaptive
-    runs on this driver too.
+    panel(lo, hi) returns (values, errors), two k-tuples: each
+    component's K15 value on [lo, hi] and its |K15 - G7| estimate.  The
+    components share the panel's 15 nodes, so a source computes what
+    they have in common once per node.
 
-    Returns (value, error_estimate, evaluations, converged).
+    Bisects the panel with the largest summed error (the lowest index
+    among equals) until every component's summed error meets
+    max(abs_tol, rel_tol * |its sum|) or max_sub panels exist.  The
+    sums are math.fsum over all panels, per component.  A heap finds the
+    worst panel, and running sums skip the fsum calls while some
+    component's running error exceeds its threshold by more than its
+    rounding bound, so n panels cost O(n log n) rather than O(n^2); for
+    k = 1 the result is that of a linear scan and full re-sums after
+    every bisection, bit for bit (tests/test_quad.py).
+
+    Returns (values, errors, evaluations, converged): each component's
+    value and its error, floored at 1e-15 of the value; evaluations
+    counts integrand nodes, 15 per panel, each giving all k components.
     """
-    value, err = _panel(f, a, b)
-    values = [value]
-    errors = [err]
+    vals, errs = panel(a, b)
+    comps = range(len(vals))
+    values = [[v] for v in vals]      # values[j][i]: component j, panel i
+    errors = [[e] for e in errs]
     spans = [(a, b)]
-    heap = [_rank(err, 0)]
+    heap = [_rank(sum(errs), 0)]
     evals = 15
     # Each addition to a running sum rounds by at most half an ulp of
     # the largest magnitude the sum reaches, so after k additions it is
     # within k ulps of that magnitude of the exact sum.
-    run_val, run_err = value, err
-    big_val, big_err = abs(value), abs(err)
+    run_val, run_err = list(vals), list(errs)
+    big_val = [abs(v) for v in vals]
+    big_err = [abs(e) for e in errs]
     adds = 0
     while True:
-        n = len(values)
+        n = len(spans)
         # Four spare ulps cover fsum's own rounding and that of this
         # test.  An inf or NaN makes a comparison false and so takes the
         # exact path.
         spare = adds + 4
-        low_err = run_err - spare * math.ulp(big_err)
-        high_val = abs(run_val) + spare * math.ulp(big_val)
-        if n >= max_sub or not (low_err > abs_tol
-                                and low_err > rel_tol * high_val):
-            total = math.fsum(values)
-            total_err = math.fsum(errors)
-            if total_err <= max(abs_tol, rel_tol * abs(total)):
-                return total, max(total_err, 1e-15 * abs(total)), evals, 1
-            if n >= max_sub:
-                return total, max(total_err, 1e-15 * abs(total)), evals, 0
-            run_val, run_err = total, total_err
-            big_val, big_err = abs(total), abs(total_err)
+        exact = True
+        if n < max_sub:
+            for j in comps:
+                low_err = run_err[j] - spare * math.ulp(big_err[j])
+                high_val = abs(run_val[j]) + spare * math.ulp(big_val[j])
+                if low_err > abs_tol and low_err > rel_tol * high_val:
+                    exact = False
+                    break
+        if exact:
+            totals = [math.fsum(v) for v in values]
+            total_errs = [math.fsum(e) for e in errors]
+            ok = all(e <= max(abs_tol, rel_tol * abs(t))
+                     for t, e in zip(totals, total_errs))
+            if ok or n >= max_sub:
+                return (tuple(totals),
+                        tuple(max(e, 1e-15 * abs(t))
+                              for t, e in zip(totals, total_errs)),
+                        evals, 1 if ok else 0)
+            run_val, run_err = totals, total_errs
+            big_val = [abs(t) for t in totals]
+            big_err = [abs(e) for e in total_errs]
             adds = 1
         worst = heapq.heappop(heap)[1]
         lo, hi = spans[worst]
         mid = 0.5 * (lo + hi)
-        v1, e1 = _panel(f, lo, mid)
-        v2, e2 = _panel(f, mid, hi)
+        vals1, errs1 = panel(lo, mid)
+        vals2, errs2 = panel(mid, hi)
         evals += 30
         # swap the worst panel for its halves in the running sums, three
         # additions each, and note the magnitude of every partial sum
-        s1 = run_val - values[worst]
-        s2 = s1 + v1
-        run_val = s2 + v2
-        t1 = run_err - errors[worst]
-        t2 = t1 + e1
-        run_err = t2 + e2
-        big_val = max(big_val, abs(s1), abs(s2), abs(run_val))
-        big_err = max(big_err, abs(t1), abs(t2), abs(run_err))
+        for j in comps:
+            vj, ej = values[j], errors[j]
+            s1 = run_val[j] - vj[worst]
+            s2 = s1 + vals1[j]
+            run_val[j] = s2 + vals2[j]
+            t1 = run_err[j] - ej[worst]
+            t2 = t1 + errs1[j]
+            run_err[j] = t2 + errs2[j]
+            big_val[j] = max(big_val[j], abs(s1), abs(s2), abs(run_val[j]))
+            big_err[j] = max(big_err[j], abs(t1), abs(t2), abs(run_err[j]))
+            vj[worst] = vals1[j]
+            vj.append(vals2[j])
+            ej[worst] = errs1[j]
+            ej.append(errs2[j])
         adds += 3
-        values[worst], errors[worst], spans[worst] = v1, e1, (lo, mid)
-        values.append(v2)
-        errors.append(e2)
+        spans[worst] = (lo, mid)
         spans.append((mid, hi))
-        heapq.heappush(heap, _rank(e1, worst))
-        heapq.heappush(heap, _rank(e2, n))
+        heapq.heappush(heap, _rank(sum(errs1), worst))
+        heapq.heappush(heap, _rank(sum(errs2), n))
+
+
+def _adaptive(f, a: float, b: float, abs_tol: float, rel_tol: float,
+              max_sub: int):
+    """One scalar integral of f: the 1-component case of
+    _adaptive_panels, on _panel.  quad.integrate_adaptive runs on it.
+
+    Returns (value, error_estimate, evaluations, converged).
+    """
+    def panel(lo: float, hi: float):
+        value, err = _panel(f, lo, hi)
+        return (value,), (err,)
+
+    (value,), (err,), evals, ok = _adaptive_panels(panel, a, b, abs_tol,
+                                                   rel_tol, max_sub)
+    return value, err, evals, ok
 
 
 def loop_phi_integral(r: float, z: float, a: float, abs_tol: float,
@@ -175,6 +228,58 @@ def loop_phi_integral(r: float, z: float, a: float, abs_tol: float,
     return 2.0 * v, 2.0 * e, n, ok
 
 
+def _helix_panel(r: float, phi: float, z: float, a: float, p: float,
+                 P: float):
+    """Panel of the three helix integrands sin(u)/R, cos(u)/R and 1/R,
+    u = P s - phi: one cosine, sine and square root per node."""
+    c0 = r * r + a * a + z * z
+    two_ar = 2.0 * a * r
+    two_z = 2.0 * z
+    wk0, wg0 = WGK[7], WG[3]
+
+    def panel(lo: float, hi: float):
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        u = P * mid - phi
+        cu = math.cos(u)
+        ps = p * mid
+        w = 1.0 / math.sqrt(c0 + ps * (ps - two_z) - two_ar * cu)
+        fs = math.sin(u) * w
+        fc = cu * w
+        ks, kc, k1 = wk0 * fs, wk0 * fc, wk0 * w
+        gs, gc, g1 = wg0 * fs, wg0 * fc, wg0 * w
+        for x, wk, wg in _PAIRS:
+            dx = half * x
+            s = mid - dx
+            u = P * s - phi
+            cu = math.cos(u)
+            ps = p * s
+            w = 1.0 / math.sqrt(c0 + ps * (ps - two_z) - two_ar * cu)
+            fs = math.sin(u) * w
+            fc = cu * w
+            f1 = w
+            s = mid + dx
+            u = P * s - phi
+            cu = math.cos(u)
+            ps = p * s
+            w = 1.0 / math.sqrt(c0 + ps * (ps - two_z) - two_ar * cu)
+            fs += math.sin(u) * w
+            fc += cu * w
+            f1 += w
+            ks += wk * fs
+            kc += wk * fc
+            k1 += wk * f1
+            if wg:
+                gs += wg * fs
+                gc += wg * fc
+                g1 += wg * f1
+        h = abs(half)
+        return ((ks * half, kc * half, k1 * half),
+                (abs(ks - gs) * h, abs(kc - gc) * h, abs(k1 - g1) * h))
+
+    return panel
+
+
 def helix_integrals(r: float, phi: float, z: float, a: float, p: float,
                     P: float, s0: float, s1: float, abs_tol: float,
                     rel_tol: float, max_sub: int):
@@ -185,24 +290,56 @@ def helix_integrals(r: float, phi: float, z: float, a: float, p: float,
         I_one = Int 1 / R ds
         R^2   = r^2 + a^2 + z^2 + p^2 s^2 - 2 z p s - 2 a r cos(P s - phi)
 
+    in one adaptive pass that refines all three on shared nodes; each
+    meets the tolerance on its own.  err is the sum of their errors,
+    evaluations the number of nodes.
+
     Returns (I_sin, I_cos, I_one, err, evaluations, converged).
     """
-    c0 = r * r + a * a + z * z
+    (vs, vc, vz), (es, ec, ez), n, ok = _adaptive_panels(
+        _helix_panel(r, phi, z, a, p, P), s0, s1, abs_tol, rel_tol, max_sub)
+    return vs, vc, vz, es + ec + ez, n, ok
+
+
+def _solenoid_panel(r: float, z: float, a: float, L0: float):
+    """Panel of F(u) cos u and F(u) for solenoid_integrals: one cosine,
+    square root and asinh pair per node."""
+    c0 = r * r + a * a
     two_ar = 2.0 * a * r
+    z1 = z - L0
+    wk0, wg0 = WGK[7], WG[3]
 
-    def rad(s: float) -> float:
-        u = P * s - phi
-        return math.sqrt(c0 + p * s * (p * s - 2.0 * z) - two_ar * math.cos(u))
+    def panel(lo: float, hi: float):
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        cu = math.cos(mid)
+        root = math.sqrt(c0 - two_ar * cu)
+        f1 = math.asinh(z / root) - math.asinh(z1 / root)
+        fc = f1 * cu
+        kc, k1 = wk0 * fc, wk0 * f1
+        gc, g1 = wg0 * fc, wg0 * f1
+        for x, wk, wg in _PAIRS:
+            dx = half * x
+            cu = math.cos(mid - dx)
+            root = math.sqrt(c0 - two_ar * cu)
+            f = math.asinh(z / root) - math.asinh(z1 / root)
+            fc = f * cu
+            f1 = f
+            cu = math.cos(mid + dx)
+            root = math.sqrt(c0 - two_ar * cu)
+            f = math.asinh(z / root) - math.asinh(z1 / root)
+            fc += f * cu
+            f1 += f
+            kc += wk * fc
+            k1 += wk * f1
+            if wg:
+                gc += wg * fc
+                g1 += wg * f1
+        h = abs(half)
+        return ((kc * half, k1 * half),
+                (abs(kc - gc) * h, abs(k1 - g1) * h))
 
-    vs, es, ns, oks = _adaptive(
-        lambda s: math.sin(P * s - phi) / rad(s), s0, s1, abs_tol, rel_tol,
-        max_sub)
-    vc, ec, nc, okc = _adaptive(
-        lambda s: math.cos(P * s - phi) / rad(s), s0, s1, abs_tol, rel_tol,
-        max_sub)
-    vz, ez, nz, okz = _adaptive(
-        lambda s: 1.0 / rad(s), s0, s1, abs_tol, rel_tol, max_sub)
-    return vs, vc, vz, es + ec + ez, ns + nc + nz, oks and okc and okz
+    return panel
 
 
 def solenoid_integrals(r: float, z: float, a: float, L0: float,
@@ -221,20 +358,15 @@ def solenoid_integrals(r: float, z: float, a: float, L0: float,
         I_one = Int_0^{2pi} F(u) du
         I_sin = 0 exactly (odd part of an even integrand).
 
+    I_cos and I_one come from one adaptive pass on shared nodes, each
+    meeting the tolerance on its own; err is the sum of their errors.
+
     Returns (I_sin, I_cos, I_one, err, evaluations, converged).
     """
-    c0 = r * r + a * a
-    two_ar = 2.0 * a * r
-
-    def F(u: float) -> float:
-        root = math.sqrt(c0 - two_ar * math.cos(u))
-        return math.asinh(z / root) - math.asinh((z - L0) / root)
-
-    vc, ec, nc, okc = _adaptive(lambda u: F(u) * math.cos(u), 0.0, math.pi,
-                                0.5 * abs_tol, rel_tol, max_sub)
-    v1, e1, n1, ok1 = _adaptive(F, 0.0, math.pi, 0.5 * abs_tol, rel_tol,
-                                max_sub)
-    return 0.0, 2.0 * vc, 2.0 * v1, 2.0 * (ec + e1), nc + n1, okc and ok1
+    (vc, v1), (ec, e1), n, ok = _adaptive_panels(
+        _solenoid_panel(r, z, a, L0), 0.0, math.pi, 0.5 * abs_tol, rel_tol,
+        max_sub)
+    return 0.0, 2.0 * vc, 2.0 * v1, 2.0 * (ec + e1), n, ok
 
 
 def plate_green_sum(rho: float, z: float, zp: float, L: float, tol: float,

@@ -461,3 +461,30 @@ def test_min_distance_rejects_empty_chart():
     with pytest.raises(InvalidGeometryError):
         magneto.min_distance_to_curve(lambda s: Point3(s, 0, 0), 1.0, 1.0,
                                       Point3(0, 0, 0))
+
+
+def test_chart_quadratures_run_once_through_the_module(monkeypatch):
+    # perfbench/tracer.py counts core.* work by wrapping these module
+    # globals and reading the evaluation count at [-2] of what they
+    # return; a quadrature reached by any other route would read 0
+    calls = {}
+    for name in ("loop_phi_integral", "helix_integrals",
+                 "solenoid_integrals"):
+        def counting(*args, _name=name, _f=getattr(magneto, name)):
+            out = _f(*args)
+            calls.setdefault(_name, []).append(out[-2])
+            return out
+
+        monkeypatch.setattr(magneto, name, counting)
+    y = Point3(0.9, 0.4, 0.3)
+    results = {
+        "loop_phi_integral": magneto.loop_potential(1.2, 1.0, y, CFG),
+        "helix_integrals": magneto.helix_potential(0.6, 0.08, 20.0, 1.0, y,
+                                                   CFG, -10.0),
+        "solenoid_integrals": magneto.solenoid_potential(1.5, 0.05, 1.0,
+                                                         10.0, y, CFG),
+    }
+    for name, res in results.items():
+        evals = res.diagnostics["evaluations"]
+        assert evals > 0 and evals % 15 == 0
+        assert calls[name] == [evals], name
