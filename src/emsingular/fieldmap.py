@@ -151,7 +151,7 @@ def _build_part(s: dict, medium: MediumConstants,
 
         def evaluate(y: Point3, t: float):
             res = retarded.lienard_wiechert(src, y, t, medium)
-            return (res.a, res.phi, 0.0, True)
+            return (res.a, res.phi, res.diagnostics["rounding_error"], True)
 
         def near(y: Point3, t: float, radius: float) -> bool:
             return (y - src.position(t)).norm() < radius

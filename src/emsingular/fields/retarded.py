@@ -11,7 +11,9 @@ Potentials follow the usual retarded form: the static Coulomb/vector
 factors evaluated at the emission point, amplified by the Doppler
 factor 1 / (1 - n.v/c), where n points from the emission point toward
 the field point.  An approaching charge (n.v > 0) is amplified,
-a receding one attenuated.
+a receding one attenuated.  The potentials are not exact: positions
+far from the origin round, and the Doppler factor amplifies that, so
+lienard_wiechert reports a first-order bound on their rounding.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ from ..geometry import Point3, Vec3
 from ..sources import PointSource
 from .base import PotentialResult
 from .medium import VACUUM, MediumConstants
+
+EPS = 2.0 ** -52
+_SPLIT = 134217729.0     # 2^27 + 1, splits a double into two halves
 
 
 @dataclass(frozen=True)
@@ -88,11 +93,100 @@ def lienard_wiechert(src: PointSource, y: Point3, t: float,
     k = kernels.free_kernel(y, st.x_ret)
     phi = (src.q / medium.eps) * k * st.doppler
     a = (medium.mu * src.q * k * st.doppler) * st.v_ret
+    err = _rounding_bound(src, y, t, st, medium.c) * abs(phi)
     return PotentialResult(y, a, phi, {
         "t_ret": st.t_ret,
         "doppler": st.doppler,
         "r_ret": st.r_ret,
+        "rounding_error": err,
     })
+
+
+def _rounding_bound(src: PointSource, y: Point3, t: float,
+                   st: RetardedState, c: float) -> float:
+    """First-order bound on the relative rounding error of the
+    potentials that lienard_wiechert forms from st.
+
+    Both potentials are proportional to 1 / D, with D = r - sep.v / c,
+    sep = y - x(t') and r = |sep|, so their relative error is dD / D
+    plus the rounding of forming them.  Let g = n - v / c, the gradient
+    of D in sep.  Then dD = g . dsep, and sep is off for three reasons:
+
+    * w = y - (x0 + t v), from which the delay is solved, is off by dw;
+      the delay tau = t - t' moves by n.dw / (c - n.v) (differentiate
+      c tau = |w + tau v|), which moves sep by v times that.  |dw| is
+      at most EPS (1.5 |t| |v| + |x0| + |y| / 2); where that would
+      more than double the bound, it is taken exactly from its three
+      roundings instead (_w_rounding).  Either is counted twice, which
+      covers the terms beyond first order.  |x0| and |x_ret| are
+      bounded by |y| + r + |t'| |v| and |y| + r.
+    * the delay rounds in the root: k = c^2 - v.v is off by ~u c^2,
+      which moves tau by u r / (2 D) of itself, so by u doppler / 2;
+      with the roundings of w.v, |w|^2 and the root (|w| <= 2 r) tau is
+      within 26 u doppler of itself.  t' = t - tau rounds by u |t'|.
+      Each moves sep along v, so dD = (g.v) dt' for each.
+    * forming x0 + t' v and y - x_ret rounds by u (|t'| |v| + |x_ret|)
+      and u r, in any direction.
+
+    With u = EPS / 2 and D = r / doppler:
+
+        |dD| <= |g.v| (2 doppler |dw| / c + EPS |t'| + 13 EPS doppler tau)
+                + |g| EPS (|t'| |v| + |x_ret| + r).
+
+    Forming 1 - n.v / c loses ~7 u doppler, and r, the kernel and the
+    products a few u more: EPS (6 + 4 doppler) covers them.  As
+    a = eps mu v phi, with eps mu |v| < 1 / c, the bound times |phi|
+    bounds the error of phi and of each component of a.  The g
+    factors matter: ahead of a charge at 0.99 c, |g| is ~0.01, while a
+    dw of an ulp of a position 3e8 m from the origin moves D by nearly
+    that ulp, through g.v / (c - n.v) of ~0.99.
+    """
+    v, n = src.v, st.n
+    doppler, r, tau = st.doppler, st.r_ret, t - st.t_ret
+    vv = (v.x * v.x + v.y * v.y + v.z * v.z) / (c * c)
+    nv = (n.x * v.x + n.y * v.y + n.z * v.z) / c
+    gv = abs(nv - vv)                           # |g.v| / c
+    g = math.sqrt(max(0.0, 1.0 - 2.0 * nv + vv))
+    speed = c * math.sqrt(vv)
+    span = abs(st.t_ret) * speed                # |t'| |v|
+    y_r = y.norm() + r                          # >= |x_ret|, |x0| - span
+    rest = ((gv * c * EPS * (abs(st.t_ret) + 13.0 * doppler * tau)
+             + g * EPS * (span + y_r + r)) * doppler / r
+            + EPS * (6.0 + 4.0 * doppler))
+    # the dw term: the exact |dw| is worth its cost only where the
+    # bound from the sizes of its roundings would more than double rest
+    per_dw = 2.0 * gv * doppler * doppler / r
+    dw = EPS * (1.5 * abs(t) * speed + span + 1.5 * y_r)
+    if per_dw * dw > rest:
+        dw = _w_rounding(src, y, t)
+    return rest + per_dw * dw
+
+
+def _w_rounding(src: PointSource, y: Point3, t: float) -> float:
+    """|w - (y - x0 - t v)| for w = y - src.position(t) as
+    solve_retarded_time forms it, from the exact error of each of its
+    three roundings: Dekker's product over Veltkamp's split, and
+    Knuth's two-sum."""
+    h = _SPLIT * t
+    t_hi = h - (h - t)
+    t_lo = t - t_hi
+    x0, v = src.x0, src.v
+    total = 0.0
+    for yi, xi, vi in ((y.x, x0.x, v.x), (y.y, x0.y, v.y), (y.z, x0.z, v.z)):
+        p = vi * t
+        q = xi + p
+        w = yi - q
+        h = _SPLIT * vi
+        v_hi = h - (h - vi)
+        v_lo = vi - v_hi
+        err_p = ((v_hi * t_hi - p) + v_hi * t_lo + v_lo * t_hi) + v_lo * t_lo
+        h = q - xi
+        err_q = (xi - (q - h)) + (p - h)
+        h = w - yi
+        err_w = (yi - (w - h)) - (q + h)
+        dw = err_q + err_p - err_w
+        total += dw * dw
+    return math.sqrt(total)
 
 
 def lorenz_gauge_residual(src: PointSource, y: Point3, t: float,

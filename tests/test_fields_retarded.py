@@ -23,7 +23,7 @@ import pytest
 
 from emsingular import cli
 from emsingular.errors import (CoincidentPointsError, SuperluminalError)
-from emsingular.fields.medium import C0, EPS0
+from emsingular.fields.medium import C0, EPS0, MU0
 from emsingular.fields import electro, retarded
 from emsingular.geometry import Point3, Vec3
 from emsingular.sources import (PointSource, static_point_charge,
@@ -236,6 +236,71 @@ def test_run_fast_charge_rows_are_ok(tmp_path):
         y = Point3(float(r["x"]), float(r["y"]), float(r["z"]))
         want = boosted_phi(1.0e-9, x0, v, y, float(r["t"]))
         assert float(r["phi"]) == pytest.approx(want, rel=1e-8)
+
+
+PI_60 = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+def exact_potentials(q, x0, v, y, t):
+    """(phi, a) of the uniformly moving charge in 60-digit decimals,
+    from its present position: with l = y - x0 - t v,
+    phi = q / (4 pi eps0 D), D^2 = |l|^2 (1 - v.v/c^2) + (l.v)^2/c^2,
+    and a = mu0 q v / (4 pi D)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        L = [Decimal(a) - Decimal(b) - Decimal(w) * Decimal(t)
+             for a, b, w in zip(y.as_tuple(), x0.as_tuple(), v.as_tuple())]
+        V = [Decimal(w) for w in v.as_tuple()]
+        c2 = Decimal(C0) ** 2
+        lv = sum(a * b for a, b in zip(L, V))
+        d = (sum(a * a for a in L) * (1 - sum(w * w for w in V) / c2)
+             + lv * lv / c2).sqrt()
+        phi = Decimal(q) / (4 * PI_60 * Decimal(EPS0) * d)
+        a = [Decimal(MU0) * Decimal(q) * w / (4 * PI_60 * d) for w in V]
+        return phi, a
+
+
+def test_fast_charge_rows_report_their_rounding(tmp_path):
+    # 0.99 c at 3e8 m from the origin: the emission point x0 + t' v
+    # rounds by ~3e-8 m and phi by up to 7e-10 of itself, which each
+    # row's quad_error must bound, and not by more than 100x
+    scene = tmp_path / "scene.yaml"
+    scene.write_text(textwrap.dedent(FAST_CHARGE_SCENE))
+    out = tmp_path / "map.csv"
+    assert cli.main(["run", "--scene", str(scene), "--out", str(out)]) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
+    x0 = Point3(-296794533.42, 0.0, 0.0)
+    v = Vec3(296794533.42, 0.0, 0.0)
+    worst = Decimal(0)
+    for r in rows:
+        y = Point3(float(r["x"]), float(r["y"]), float(r["z"]))
+        phi, _ = exact_potentials(1.0e-9, x0, v, y, float(r["t"]))
+        err = abs(Decimal(r["phi"]) - phi)
+        bound = Decimal(r["quad_error"])
+        assert err <= bound, (r["x"], r["y"])
+        worst = max(worst, err / bound)
+    assert worst >= Decimal("0.01")
+
+
+@pytest.mark.parametrize("t", [2.0e-9, 1.37, 1.0e3])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 0.99])
+def test_point_charge_rounding_bound_is_honest(t, beta):
+    # the charge passes near the origin at time t, from up to |t| c away
+    rng = random.Random(int(t * 1e3) + int(100 * beta))
+    for direction in ((1.0, 0.0, 0.0), (0.6, -0.8, 0.0), (-0.48, 0.6, 0.64)):
+        v = Vec3(*(beta * C0 * a for a in direction))
+        x0 = Point3(0.1, -0.2, 0.3) - t * v
+        src = uniform_point_charge(Q, x0, v)
+        for _ in range(20):
+            y = Point3(rng.uniform(-2, 2), rng.uniform(-2, 2),
+                       rng.uniform(-2, 2))
+            res = retarded.lienard_wiechert(src, y, t)
+            bound = Decimal(res.diagnostics["rounding_error"])
+            phi, a = exact_potentials(Q, x0, v, y, t)
+            assert abs(Decimal(res.phi) - phi) <= bound, (direction, y)
+            for got, want in zip(res.a.as_tuple(), a):
+                assert abs(Decimal(got) - want) <= bound, (direction, y)
 
 
 def test_lienard_wiechert_makes_one_solve_through_the_module(monkeypatch):
