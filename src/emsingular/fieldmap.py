@@ -46,15 +46,25 @@ _DERIVATIVE_OUTPUTS = ("b", "e", "residual")
 class SourcePart:
     """One scene source turned into evaluator callables.
 
-    evaluate(point, t) -> (a: Vec3, phi: float, err: float, ok: bool)
+    evaluate(point, t) -> (a: Vec3, phi: float, err, ok: bool)
     near(point, t, radius) -> bool   (within radius of the singular support)
+    error(point, t, err) -> float    (where given)
+
+    err is the error as a float, unless the part has an error(), which
+    makes it from the err that evaluate returned.  That is for parts
+    whose error costs more than their potentials (point charges):
+    compute_row calls it at the row point only, since stencil points
+    write no error.  A point charge's error bounds phi; that of its a
+    is smaller by |v| / c^2.
     """
 
-    def __init__(self, kind: str, evaluate, near, time_dependent=False):
+    def __init__(self, kind: str, evaluate, near, time_dependent=False,
+                 error=None):
         self.kind = kind
         self.evaluate = evaluate
         self.near = near
         self.time_dependent = time_dependent
+        self.error = error
 
 
 def build_parts(scene: Scene) -> list[SourcePart]:
@@ -151,12 +161,16 @@ def _build_part(s: dict, medium: MediumConstants,
 
         def evaluate(y: Point3, t: float):
             res = retarded.lienard_wiechert(src, y, t, medium)
-            return (res.a, res.phi, res.diagnostics["rounding_error"], True)
+            return (res.a, res.phi, res, True)
+
+        def error(y: Point3, t: float, res) -> float:
+            return retarded.rounding_bound(src, y, t, res, medium)[0]
 
         def near(y: Point3, t: float, radius: float) -> bool:
             return (y - src.position(t)).norm() < radius
 
-        return SourcePart(kind, evaluate, near, time_dependent=moving)
+        return SourcePart(kind, evaluate, near, time_dependent=moving,
+                          error=error)
 
     if kind == "dipole":
         dip = sources.DipoleSource(Point3(*s["position"]),
@@ -217,15 +231,15 @@ def compute_row(scene: Scene, parts: list[SourcePart],
             return memo[key]
         a = Vec3(0.0, 0.0, 0.0)
         phi = 0.0
-        err = 0.0
+        errs = []
         ok = True
         for part in parts:
             av, pv, ev, okv = part.evaluate(y, at)
             a = a + av
             phi += pv
-            err += ev
+            errs.append(ev)
             ok = ok and okv
-        memo[key] = a, phi, err, ok
+        memo[key] = a, phi, errs, ok
         return memo[key]
 
     # potentials at the row point
@@ -233,8 +247,11 @@ def compute_row(scene: Scene, parts: list[SourcePart],
     phi_val = _NAN
     err_val = _NAN
     try:
-        a_vec, phi_val, err_val, converged = total(point, t)
+        a_vec, phi_val, errs, converged = total(point, t)
         a_val = a_vec
+        err_val = 0.0
+        for part, ev in zip(parts, errs):
+            err_val += part.error(point, t, ev) if part.error else ev
         if not converged:
             status = "unconverged"
     except OnSupportError:

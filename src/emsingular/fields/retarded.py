@@ -12,8 +12,8 @@ factors evaluated at the emission point, amplified by the Doppler
 factor 1 / (1 - n.v/c), where n points from the emission point toward
 the field point.  An approaching charge (n.v > 0) is amplified,
 a receding one attenuated.  The potentials are not exact: positions
-far from the origin round, and the Doppler factor amplifies that, so
-lienard_wiechert reports a first-order bound on their rounding.
+far from the origin round, and the Doppler factor amplifies that;
+rounding_bound gives a first-order bound on their rounding.
 """
 
 from __future__ import annotations
@@ -88,45 +88,44 @@ def lienard_wiechert(src: PointSource, y: Point3, t: float,
 
         phi = (q / eps) * kernel(y, x_ret) * doppler
         a   = mu * q * kernel(y, x_ret) * doppler * v_ret
+
+    rounding_bound bounds their rounding, at extra cost, on request.
     """
     st = retarded_state(src, y, t, medium)
     k = kernels.free_kernel(y, st.x_ret)
     phi = (src.q / medium.eps) * k * st.doppler
     a = (medium.mu * src.q * k * st.doppler) * st.v_ret
-    err = _rounding_bound(src, y, t, st, medium.c) * abs(phi)
     return PotentialResult(y, a, phi, {
         "t_ret": st.t_ret,
         "doppler": st.doppler,
         "r_ret": st.r_ret,
-        "rounding_error": err,
+        "n": st.n,
     })
 
 
-def _rounding_bound(src: PointSource, y: Point3, t: float,
-                   st: RetardedState, c: float) -> float:
-    """First-order bound on the relative rounding error of the
-    potentials that lienard_wiechert forms from st.
+def rounding_bound(src: PointSource, y: Point3, t: float,
+                   res: PotentialResult,
+                   medium: MediumConstants = VACUUM) -> tuple[float, float]:
+    """(bound on the error of res.phi, bound on the error of each
+    component of res.a), for res = lienard_wiechert(src, y, t, medium).
 
     Both potentials are proportional to 1 / D, with D = r - sep.v / c,
     sep = y - x(t') and r = |sep|, so their relative error is dD / D
     plus the rounding of forming them.  Let g = n - v / c, the gradient
     of D in sep.  Then dD = g . dsep, and sep is off for three reasons:
 
-    * w = y - (x0 + t v), from which the delay is solved, is off by dw;
-      the delay tau = t - t' moves by n.dw / (c - n.v) (differentiate
-      c tau = |w + tau v|), which moves sep by v times that.  |dw| is
-      at most EPS (1.5 |t| |v| + |x0| + |y| / 2); where that would
-      more than double the bound, it is taken exactly from its three
-      roundings instead (_w_rounding).  Either is counted twice, which
-      covers the terms beyond first order.  |x0| and |x_ret| are
-      bounded by |y| + r + |t'| |v| and |y| + r.
+    * w = y - (x0 + t v), from which the delay is solved, is off by dw,
+      taken exactly from its three roundings (_w_rounding); the delay
+      tau = t - t' moves by n.dw / (c - n.v) (differentiate
+      c tau = |w + tau v|), which moves sep by v times that.  dw is
+      counted twice, which covers the terms beyond first order.
     * the delay rounds in the root: k = c^2 - v.v is off by ~u c^2,
       which moves tau by u r / (2 D) of itself, so by u doppler / 2;
       with the roundings of w.v, |w|^2 and the root (|w| <= 2 r) tau is
       within 26 u doppler of itself.  t' = t - tau rounds by u |t'|.
       Each moves sep along v, so dD = (g.v) dt' for each.
     * forming x0 + t' v and y - x_ret rounds by u (|t'| |v| + |x_ret|)
-      and u r, in any direction.
+      and u r, in any direction; |x_ret| <= |y| + r.
 
     With u = EPS / 2 and D = r / doppler:
 
@@ -134,32 +133,26 @@ def _rounding_bound(src: PointSource, y: Point3, t: float,
                 + |g| EPS (|t'| |v| + |x_ret| + r).
 
     Forming 1 - n.v / c loses ~7 u doppler, and r, the kernel and the
-    products a few u more: EPS (6 + 4 doppler) covers them.  As
-    a = eps mu v phi, with eps mu |v| < 1 / c, the bound times |phi|
-    bounds the error of phi and of each component of a.  The g
-    factors matter: ahead of a charge at 0.99 c, |g| is ~0.01, while a
-    dw of an ulp of a position 3e8 m from the origin moves D by nearly
-    that ulp, through g.v / (c - n.v) of ~0.99.
+    products a few u more: EPS (6 + 4 doppler) covers them.  That
+    relative bound times |phi| bounds the error of phi, and times |a|
+    that of each component of a.  The g factors matter: ahead of a
+    charge at 0.99 c, |g| is ~0.01, while a dw of an ulp of a position
+    3e8 m from the origin moves D by nearly that ulp, through
+    g.v / (c - n.v) of ~0.99.
     """
-    v, n = src.v, st.n
-    doppler, r, tau = st.doppler, st.r_ret, t - st.t_ret
+    d = res.diagnostics
+    v, n, c = src.v, d["n"], medium.c
+    doppler, r, t_ret = d["doppler"], d["r_ret"], d["t_ret"]
     vv = (v.x * v.x + v.y * v.y + v.z * v.z) / (c * c)
     nv = (n.x * v.x + n.y * v.y + n.z * v.z) / c
     gv = abs(nv - vv)                           # |g.v| / c
     g = math.sqrt(max(0.0, 1.0 - 2.0 * nv + vv))
-    speed = c * math.sqrt(vv)
-    span = abs(st.t_ret) * speed                # |t'| |v|
-    y_r = y.norm() + r                          # >= |x_ret|, |x0| - span
-    rest = ((gv * c * EPS * (abs(st.t_ret) + 13.0 * doppler * tau)
-             + g * EPS * (span + y_r + r)) * doppler / r
-            + EPS * (6.0 + 4.0 * doppler))
-    # the dw term: the exact |dw| is worth its cost only where the
-    # bound from the sizes of its roundings would more than double rest
-    per_dw = 2.0 * gv * doppler * doppler / r
-    dw = EPS * (1.5 * abs(t) * speed + span + 1.5 * y_r)
-    if per_dw * dw > rest:
-        dw = _w_rounding(src, y, t)
-    return rest + per_dw * dw
+    span = abs(t_ret) * c * math.sqrt(vv)       # |t'| |v|
+    rel = ((gv * c * EPS * (abs(t_ret) + 13.0 * doppler * (t - t_ret))
+            + gv * 2.0 * doppler * _w_rounding(src, y, t)
+            + g * EPS * (span + y.norm() + 2.0 * r)) * doppler / r
+           + EPS * (6.0 + 4.0 * doppler))
+    return rel * abs(res.phi), rel * res.a.norm()
 
 
 def _w_rounding(src: PointSource, y: Point3, t: float) -> float:

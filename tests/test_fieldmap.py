@@ -11,9 +11,10 @@ import textwrap
 import pytest
 
 from emsingular import cli, fieldmap
-from emsingular.fields import magneto
+from emsingular.fields import magneto, retarded
 from emsingular.geometry import Point3, Vec3
 from emsingular.scene import Scene, scene_hash, validate_scene
+from emsingular.sources import uniform_point_charge
 
 LOOP = {"type": "loop", "radius": 1.0, "current": 2.0}
 HELIX = {"type": "helix", "radius": 0.5, "pitch": 0.1, "length": 20.0,
@@ -76,6 +77,32 @@ def test_timed_row_evaluates_nine_points():
     row = fieldmap.compute_row(scene, parts, (0.3, 0.2, 0.5, 2e-9))
     assert row[-1] == "ok"
     assert calls == [9, 9, 9]
+
+
+def test_point_charge_bound_runs_at_the_row_point_only(monkeypatch):
+    # the rounding bound costs more than the potentials and only the
+    # row point's error is written, so the stencil's 8 points skip it
+    calls = []
+    bound = retarded.rounding_bound
+
+    def counting(src, y, t, res, medium):
+        calls.append((y.as_tuple(), t))
+        return bound(src, y, t, res, medium)
+
+    monkeypatch.setattr(retarded, "rounding_bound", counting)
+    scene = make_scene([PLATE_WIRE, MOVING_CHARGE, DIPOLE],
+                       ["phi", "a", "e", "residual"],
+                       time={"start": 0.0, "stop": 2e-9, "count": 2})
+    parts = fieldmap.build_parts(scene)
+    point = (0.3, 0.2, 0.5)
+    row = row_dict(scene, fieldmap.compute_row(scene, parts, point + (2e-9,)))
+    assert row["status"] == "ok"
+    assert calls == [(point, 2e-9)]
+    src = uniform_point_charge(1e-9, Point3(0.0, -1.0, 0.5),
+                               Vec3(3e7, 6e7, 0.0))
+    res = retarded.lienard_wiechert(src, Point3(*point), 2e-9)
+    assert row["quad_error"] >= bound(src, Point3(*point), 2e-9, res,
+                                      scene.medium)[0] > 0.0
 
 
 def test_shared_points_give_the_unshared_stencil_values():
