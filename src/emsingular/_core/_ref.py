@@ -8,10 +8,12 @@ runtime.  Functions return plain tuples of floats and ints.
 
 One adaptive driver, _adaptive_panels, integrates k components over
 one interval on shared nodes, and each component must meet the
-tolerance on its own.  A scalar integral is the k = 1 case (_adaptive).
-The helix and the cylinder sheet integrate all their components in one
-pass, so the chord they share is computed once per node; evaluation
-counts are nodes, each giving every component.
+tolerance on its own.  A scalar integral is the k = 1 case: _adaptive
+for a Python integrand, _loop_panel for the loop.  The helix and the
+cylinder sheet integrate all their components in one pass, so the chord
+they share is computed once per node; evaluation counts are nodes, each
+giving every component.  The loop, helix and sheet panels inline their
+integrands, with no call per node.
 """
 
 from __future__ import annotations
@@ -218,14 +220,37 @@ def loop_phi_integral(r: float, z: float, a: float, abs_tol: float,
     Even in psi, so integrated on [0, pi] and doubled.
     Returns (value, error_estimate, evaluations, converged).
     """
-    c0 = r * r + a * a + z * z
-    two_ar = 2.0 * a * r
-
-    def f(psi: float) -> float:
-        return math.cos(psi) / math.sqrt(c0 - two_ar * math.cos(psi))
-
-    v, e, n, ok = _adaptive(f, 0.0, math.pi, 0.5 * abs_tol, rel_tol, max_sub)
+    (v,), (e,), n, ok = _adaptive_panels(_loop_panel(r * r + a * a + z * z,
+                                                     2.0 * a * r),
+                                         0.0, math.pi, 0.5 * abs_tol,
+                                         rel_tol, max_sub)
     return 2.0 * v, 2.0 * e, n, ok
+
+
+def _loop_panel(c0: float, two_ar: float):
+    """Panel of cos(psi) / sqrt(c0 - two_ar cos psi): _panel's
+    operations in _panel's order, with the integrand inlined."""
+    wk0, wg0 = WGK[7], WG[3]
+
+    def panel(lo: float, hi: float):
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        cu = math.cos(mid)
+        fc = cu / math.sqrt(c0 - two_ar * cu)
+        resk = wk0 * fc
+        resg = wg0 * fc
+        for x, wk, wg in _PAIRS:
+            dx = half * x
+            cu = math.cos(mid - dx)
+            f = cu / math.sqrt(c0 - two_ar * cu)
+            cu = math.cos(mid + dx)
+            f += cu / math.sqrt(c0 - two_ar * cu)
+            resk += wk * f
+            if wg:
+                resg += wg * f
+        return (resk * half,), (abs(resk - resg) * abs(half),)
+
+    return panel
 
 
 def _helix_panel(r: float, phi: float, z: float, a: float, p: float,
