@@ -1,6 +1,6 @@
 """Command-line front end: run, validate, selfcheck.
 
-    emsingular run --scene s.yaml --out map.csv [--set k=v] [--tol 1e-8]
+    emsingular run --scene s.yaml --out map.csv [--set k=v]
                    [--threads 4] [--format csv|doc]
     emsingular validate --scene s.yaml [--set k=v]
     emsingular selfcheck
@@ -12,7 +12,6 @@ written and flagged), 3 internal error.
 from __future__ import annotations
 
 import argparse
-import copy
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +21,7 @@ import yaml
 from . import fieldmap
 from .errors import EmsingularError, SceneError
 from .fields.medium import MU0
-from .scene import Scene, load_scene, scene_hash, validate_scene
+from .scene import load_scene
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -78,24 +77,10 @@ def _scene_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scene", required=True, help="scene YAML path")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    dest="overrides", help="dotted-path override, repeatable")
-    p.add_argument("--tol", type=float, default=None,
-                   help="shorthand for quadrature.rel_tol")
-
-
-def _load(args) -> Scene:
-    scene = load_scene(args.scene, list(args.overrides))
-    if args.tol is None:
-        return scene
-    # applied after normalization so it works whether or not the scene
-    # spells out a quadrature block
-    raw = copy.deepcopy(scene.data)
-    raw["quadrature"]["rel_tol"] = args.tol
-    data = validate_scene(raw)
-    return Scene(data, scene_hash(data))
 
 
 def _cmd_run(args) -> int:
-    scene = _load(args)
+    scene = load_scene(args.scene, args.overrides)
     if args.threads < 1:
         raise SceneError("--threads must be at least 1")
     parts = fieldmap.build_parts(scene)
@@ -124,7 +109,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    scene = _load(args)
+    scene = load_scene(args.scene, args.overrides)
     doc = dict(scene.data)
     print(yaml.safe_dump(doc, sort_keys=True, default_flow_style=None),
           end="")

@@ -5,12 +5,12 @@ class EmsingularError(Exception):
     """Base class for all library errors."""
 
 
-class CoincidentPointsError(EmsingularError):
-    """Kernel evaluated with field and source point closer than the floor."""
-
-
 class OnSupportError(EmsingularError):
     """Field requested on (or numerically inside) the source support."""
+
+
+class CoincidentPointsError(OnSupportError):
+    """Kernel evaluated with field and source point closer than the floor."""
 
 
 class OutOfDomainError(EmsingularError):

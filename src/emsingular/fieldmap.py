@@ -141,10 +141,8 @@ def _build_part(s: dict, medium: MediumConstants,
         z0, lam, gap = s["z0"], s["lambda"], s["gap"]
 
         def evaluate(y: Point3, t: float):
-            res = electro.plate_wire_potential(z0, lam, gap, y, cfg, medium)
-            return (zero, res.phi,
-                    res.diagnostics.get("series_error", 0.0),
-                    res.diagnostics["converged"])
+            res = electro.plate_wire_potential(z0, lam, gap, y, medium)
+            return (zero, res.phi, res.diagnostics["rounding_error"], True)
 
         def near(y: Point3, t: float, radius: float) -> bool:
             return math.hypot(y.x, y.z - z0) < radius

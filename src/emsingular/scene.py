@@ -167,7 +167,9 @@ def _load_yaml(stream):
 
 
 def load_scene(path: str, overrides: list[str] | None = None) -> Scene:
-    """Read, apply --set overrides, validate, normalize, hash."""
+    """Read, validate, normalize, apply --set overrides, validate again,
+    hash.  Overrides address the normalized scene, so they reach keys
+    that the file leaves to their defaults."""
     try:
         with open(path) as fh:
             raw = _load_yaml(fh)
@@ -177,9 +179,11 @@ def load_scene(path: str, overrides: list[str] | None = None) -> Scene:
         raise SceneError("scene file is not valid YAML: %s" % exc) from exc
     if not isinstance(raw, dict):
         raise SceneError("scene document must be a mapping")
-    for ov in overrides or []:
-        raw = apply_override(raw, ov)
     data = validate_scene(raw)
+    if overrides:
+        for ov in overrides:
+            data = apply_override(data, ov)
+        data = validate_scene(data)
     return Scene(data, scene_hash(data))
 
 

@@ -11,6 +11,7 @@ import json
 import textwrap
 from pathlib import Path
 
+import pytest
 import yaml
 
 from emsingular import cli, fieldmap
@@ -182,11 +183,15 @@ def test_scenes_load_alike_with_either_yaml_parser():
         assert hashes[0] == hashes[1]
 
 
-def test_tol_flag_is_quadrature_shorthand(tmp_path, capsys):
+def test_set_reaches_defaulted_keys(tmp_path, capsys):
+    # LOOP_SCENE has no quadrature block: the override addresses the
+    # normalized scene, where the defaults are filled in
     scene = write_scene(tmp_path, LOOP_SCENE)
-    cli.main(["validate", "--scene", scene, "--tol", "1e-6"])
+    assert cli.main(["validate", "--scene", scene,
+                     "--set", "quadrature.rel_tol=1e-6"]) == 0
     out = capsys.readouterr().out
     assert "rel_tol: 1e-06" in out or "rel_tol: 1.0e-06" in out
+    assert "abs_tol: 1e-12" in out or "abs_tol: 1.0e-12" in out
 
 
 # ------------------------------------------------------------------ run
@@ -276,6 +281,32 @@ def test_run_on_support_row_flags_and_nans(tmp_path, capsys):
                ("a_x", "a_y", "a_z", "b_x", "b_y", "b_z"))
     assert off_wire["status"] == "ok"
     assert off_wire["b_z"] != "nan"
+
+
+@pytest.mark.parametrize("source", [
+    "{type: point_charge, q: 1.0e-9, position: [0.0, 0.0, 0.0]}",
+    "{type: dipole, position: [0.0, 0.0, 0.0], moment: [0.0, 0.0, 1.0e-12]}",
+], ids=["point_charge", "dipole"])
+def test_run_grid_point_on_a_point_source_flags_its_row(tmp_path, capsys,
+                                                        source):
+    # the origin row is on the source; the others are written as usual
+    scene = write_scene(tmp_path, """\
+    schema: 1
+    sources: [%s]
+    grid:
+      x: {start: -1.0, stop: 1.0, count: 3}
+      y: 0.0
+      z: 0.0
+    outputs: [phi, e]
+    """ % source)
+    out = tmp_path / "map.csv"
+    assert cli.main(["run", "--scene", scene, "--out", str(out)]) == 2
+    assert "1 of 3 rows flagged" in capsys.readouterr().err
+    rows = read_rows(out)
+    assert [r["status"] for r in rows] == ["ok", "on_support", "ok"]
+    assert all(rows[1][c] == "nan" for c in ("phi", "e_x", "e_y", "e_z"))
+    for row in (rows[0], rows[2]):
+        assert all(row[c] != "nan" for c in ("phi", "e_x", "e_z"))
 
 
 def test_run_near_support_keeps_potential_refuses_derivative(tmp_path):

@@ -1,7 +1,9 @@
 """Electrostatic evaluators: Coulomb, dipole, plates."""
 
 import math
+import random
 
+import mpmath
 import pytest
 
 from emsingular.errors import (CoincidentPointsError, InvalidGeometryError,
@@ -9,10 +11,8 @@ from emsingular.errors import (CoincidentPointsError, InvalidGeometryError,
 from emsingular.fields import electro
 from emsingular.fields.medium import EPS0, VACUUM, MediumConstants
 from emsingular.geometry import Point3, Vec3
-from emsingular.quad import QuadConfig
+from emsingular.kernels import coincident_floor
 from emsingular.sources import DipoleSource
-
-CFG = QuadConfig(abs_tol=1e-13, rel_tol=1e-10)
 
 
 def test_point_charge_coulomb_value():
@@ -77,56 +77,77 @@ def test_derive_e_is_coulomb_field():
 # line charge between grounded plates
 
 
-def test_plate_wire_series_matches_closed_form():
-    z0, lam, L = 0.4, 1e-9, 1.0
-    for y in (Point3(0.2, 0.0, 0.6), Point3(-0.35, 3.0, 0.15),
-              Point3(1.2, 0.0, 0.85)):
-        series = electro.plate_wire_potential(z0, lam, L, y, CFG)
-        closed = electro.plate_wire_closed(z0, lam, L, y)
-        assert series.diagnostics["converged"]
-        assert series.phi == pytest.approx(closed, rel=1e-10)
+def _plate_wire_mp(z0, lam, L, x, z):
+    """The image series' sum (lam / 4 pi eps) ln(N / D) in the cosine
+    form, N, D = 1 - 2q cos(b -+ c) + q^2, at 60 digits from the exact
+    float inputs."""
+    with mpmath.workdps(60):
+        k = mpmath.pi / mpmath.mpf(L)
+        b, c = k * mpmath.mpf(z), k * mpmath.mpf(z0)
+        q = mpmath.exp(-k * abs(mpmath.mpf(x)))
+        num = 1 - 2 * q * mpmath.cos(b + c) + q * q
+        den = 1 - 2 * q * mpmath.cos(b - c) + q * q
+        return (mpmath.mpf(lam) / (4 * mpmath.pi * mpmath.mpf(VACUUM.eps))
+                * mpmath.log(num / den))
 
 
-@pytest.mark.parametrize("x", [0.01, 0.05, 0.1])
-def test_plate_wire_error_bounds_the_slow_tail(x):
-    # near the wire plane the terms fall off like q^n / n with q close
-    # to 1, and the last few terms are far smaller than the tail
-    lam, L = 1e-9, 1.0
-    for k in range(1, 20):
-        for j in range(1, 10):
-            z0, y = 0.1 * j, Point3(x, 0.0, 0.05 * k)
-            res = electro.plate_wire_potential(z0, lam, L, y, CFG)
-            closed = electro.plate_wire_closed(z0, lam, L, y)
-            assert abs(res.phi - closed) <= res.diagnostics["series_error"]
+def test_plate_wire_rounding_bound_is_honest():
+    rng = random.Random(20261020)
+    cases = [(0.733, 1e-9, 1.0, 0.0, 0.733 + 1e-9)]
+    for _ in range(600):
+        L = rng.choice([1.0, 0.37, 2.5, 4e3])
+        z0 = rng.uniform(0.02, 0.98) * L
+        x = rng.choice([0.0, 10.0 ** rng.uniform(-7.0, -3.0),
+                        rng.uniform(9.5, 10.5), rng.uniform(0.0, 2.0)])
+        x *= rng.choice([-L, L])
+        gap = 10.0 ** rng.uniform(-12.0, -2.0) * L
+        z = rng.choice([z0 + gap, z0 - gap, gap, L - gap,
+                        rng.uniform(0.0, L)])
+        cases.append((z0, rng.choice([1e-9, -3e-9]), L, x, z))
+    worst = 0.0
+    for z0, lam, L, x, z in cases:
+        y = Point3(x, 0.0, z)
+        if math.hypot(x, z - z0) < coincident_floor(y, Point3(0, 0, z0)):
+            with pytest.raises(OnSupportError):
+                electro.plate_wire_potential(z0, lam, L, y)
+            continue
+        res = electro.plate_wire_potential(z0, lam, L, y)
+        assert res.diagnostics["converged"]
+        bound = res.diagnostics["rounding_error"]
+        err = abs(mpmath.mpf(res.phi) - _plate_wire_mp(z0, lam, L, x, z))
+        assert err <= bound
+        worst = max(worst, float(err / bound))
+    # a bound that is too loose fails as well
+    assert worst >= 0.01
 
 
 def test_plate_wire_boundary_values_are_zero():
     z0, lam, L = 0.3, 1e-9, 2.0
-    top = electro.plate_wire_potential(z0, lam, L, Point3(0.5, 0.0, 2.0),
-                                       CFG)
-    bottom = electro.plate_wire_potential(z0, lam, L, Point3(0.5, 0.0, 0.0),
-                                          CFG)
+    top = electro.plate_wire_potential(z0, lam, L, Point3(0.5, 0.0, 2.0))
+    bottom = electro.plate_wire_potential(z0, lam, L, Point3(0.5, 0.0, 0.0))
     assert top.phi == 0.0
     assert bottom.phi == 0.0
 
 
 def test_plate_wire_on_plane_abel_limit():
-    # x = 0 column: the closed form is continuous in x, so the Abel
-    # value must be its x -> 0 limit
+    # one form for every x: the wire plane x = 0 (Abel's sum of the
+    # image series) is the limit of the values beside it, to rounding
     z0, lam, L = 0.4, 1e-9, 1.0
-    y0 = Point3(0.0, 0.0, 0.7)
-    abel = electro.plate_wire_potential(z0, lam, L, y0, CFG)
-    assert abel.diagnostics.get("closed_form")
-    approach = electro.plate_wire_closed(z0, lam, L, Point3(1e-9, 0.0, 0.7))
-    assert abel.phi == pytest.approx(approach, rel=1e-6)
+    for z in (0.7, 0.4 + 1e-9, 0.05):
+        on = electro.plate_wire_potential(z0, lam, L, Point3(0.0, 0.0, z))
+        for x in (5e-324, 1e-300, 1e-20):
+            for side in (x, -x):
+                near = electro.plate_wire_potential(z0, lam, L,
+                                                    Point3(side, 0.0, z))
+                assert abs(near.phi - on.phi) <= (
+                    near.diagnostics["rounding_error"]
+                    + on.diagnostics["rounding_error"])
 
 
 def test_plate_wire_symmetric_in_x():
     z0, lam, L = 0.6, 2e-9, 1.5
-    plus = electro.plate_wire_potential(z0, lam, L, Point3(0.4, 0.0, 0.9),
-                                        CFG)
-    minus = electro.plate_wire_potential(z0, lam, L, Point3(-0.4, 5.0, 0.9),
-                                         CFG)
+    plus = electro.plate_wire_potential(z0, lam, L, Point3(0.4, 0.0, 0.9))
+    minus = electro.plate_wire_potential(z0, lam, L, Point3(-0.4, 5.0, 0.9))
     assert plus.phi == pytest.approx(minus.phi, rel=1e-14)
 
 
@@ -134,35 +155,32 @@ def test_plate_wire_reciprocity_in_heights():
     # swapping source and field heights leaves the potential unchanged
     lam, L = 1e-9, 1.0
     x = 0.3
-    a1 = electro.plate_wire_potential(0.25, lam, L, Point3(x, 0.0, 0.65),
-                                      CFG)
-    a2 = electro.plate_wire_potential(0.65, lam, L, Point3(x, 0.0, 0.25),
-                                      CFG)
+    a1 = electro.plate_wire_potential(0.25, lam, L, Point3(x, 0.0, 0.65))
+    a2 = electro.plate_wire_potential(0.65, lam, L, Point3(x, 0.0, 0.25))
     assert a1.phi == pytest.approx(a2.phi, rel=1e-12)
 
 
 def test_plate_wire_domain_and_support_errors():
     z0, lam, L = 0.4, 1e-9, 1.0
     with pytest.raises(OutOfDomainError):
-        electro.plate_wire_potential(z0, lam, L, Point3(0.1, 0.0, 1.2), CFG)
+        electro.plate_wire_potential(z0, lam, L, Point3(0.1, 0.0, 1.2))
     with pytest.raises(OutOfDomainError):
-        electro.plate_wire_potential(z0, lam, L, Point3(0.1, 0.0, -0.1),
-                                     CFG)
+        electro.plate_wire_potential(z0, lam, L, Point3(0.1, 0.0, -0.1))
     with pytest.raises(OnSupportError):
-        electro.plate_wire_potential(z0, lam, L, Point3(0.0, 2.0, z0), CFG)
+        electro.plate_wire_potential(z0, lam, L, Point3(0.0, 2.0, z0))
+    with pytest.raises(OnSupportError):      # refused by distance, off x = 0
+        electro.plate_wire_potential(z0, lam, L, Point3(1e-300, 0.0, z0))
     with pytest.raises(InvalidGeometryError):
-        electro.plate_wire_potential(1.5, lam, L, Point3(0.1, 0.0, 0.5),
-                                     CFG)
+        electro.plate_wire_potential(1.5, lam, L, Point3(0.1, 0.0, 0.5))
     with pytest.raises(InvalidGeometryError):
-        electro.plate_wire_potential(0.4, lam, -1.0, Point3(0.1, 0.0, 0.5),
-                                     CFG)
+        electro.plate_wire_potential(0.4, lam, -1.0, Point3(0.1, 0.0, 0.5))
 
 
 def test_plate_wire_sign_tracks_charge():
     z0, L = 0.4, 1.0
     y = Point3(0.2, 0.0, 0.45)  # near the wire: dominated by it
-    pos = electro.plate_wire_potential(z0, 1e-9, L, y, CFG)
-    neg = electro.plate_wire_potential(z0, -1e-9, L, y, CFG)
+    pos = electro.plate_wire_potential(z0, 1e-9, L, y)
+    neg = electro.plate_wire_potential(z0, -1e-9, L, y)
     assert pos.phi > 0.0
     assert neg.phi == pytest.approx(-pos.phi, rel=1e-14)
 
@@ -171,8 +189,7 @@ def test_plate_wire_field_vanishes_far_down_the_gap():
     # modes decay like exp(-pi x / L): at x = 10 L the potential is
     # invisible at double precision
     res = electro.plate_wire_potential(0.5, 1e-9, 1.0,
-                                       Point3(10.0, 0.0, 0.5), CFG)
+                                       Point3(10.0, 0.0, 0.5))
     scale = abs(electro.plate_wire_potential(0.5, 1e-9, 1.0,
-                                             Point3(0.3, 0.0, 0.5),
-                                             CFG).phi)
+                                             Point3(0.3, 0.0, 0.5)).phi)
     assert abs(res.phi) < 1e-12 * scale
