@@ -121,6 +121,37 @@ def test_plate_wire_rounding_bound_is_honest():
     assert worst >= 0.01
 
 
+def test_plate_wire_series_matches_closed_form():
+    # the image series (lam / pi eps) sum_n (1/n) sin(nb) sin(nc) q^n,
+    # summed term by term, against the closed form it sums to
+    z0, lam, L = 0.4, 1e-9, 1.0
+    k = math.pi / L
+    for y in (Point3(0.2, 0.0, 0.6), Point3(-0.35, 3.0, 0.15),
+              Point3(1.2, 0.0, 0.85)):
+        q = math.exp(-k * abs(y.x))
+        terms = [math.sin(n * k * y.z) * math.sin(n * k * z0) * q ** n / n
+                 for n in range(1, 200)]
+        series = lam / (math.pi * VACUUM.eps) * math.fsum(terms)
+        res = electro.plate_wire_potential(z0, lam, L, y)
+        assert res.diagnostics["converged"]
+        assert res.phi == pytest.approx(series, rel=1e-10)
+
+
+@pytest.mark.parametrize("x", [0.01, 0.05, 0.1])
+def test_plate_wire_error_bounds_the_slow_tail(x):
+    # near the wire plane the series terms fall off like q^n / n with q
+    # close to 1; the closed form must still land within its reported
+    # error of the series' exact sum
+    lam, L = 1e-9, 1.0
+    for k in range(1, 20):
+        for j in range(1, 10):
+            z0, y = 0.1 * j, Point3(x, 0.0, 0.05 * k)
+            res = electro.plate_wire_potential(z0, lam, L, y)
+            exact = _plate_wire_mp(z0, lam, L, x, y.z)
+            assert abs(mpmath.mpf(res.phi) - exact) <= \
+                res.diagnostics["rounding_error"]
+
+
 def test_plate_wire_boundary_values_are_zero():
     z0, lam, L = 0.3, 1e-9, 2.0
     top = electro.plate_wire_potential(z0, lam, L, Point3(0.5, 0.0, 2.0))
