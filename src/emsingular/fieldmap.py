@@ -227,17 +227,18 @@ def compute_row(scene: Scene, parts: list[SourcePart],
         key = (y.x, y.y, y.z, at)
         if key in memo:
             return memo[key]
-        a = Vec3(0.0, 0.0, 0.0)
-        phi = 0.0
+        ax = ay = az = phi = 0.0
         errs = []
         ok = True
         for part in parts:
             av, pv, ev, okv = part.evaluate(y, at)
-            a = a + av
+            ax += av.x
+            ay += av.y
+            az += av.z
             phi += pv
             errs.append(ev)
             ok = ok and okv
-        memo[key] = a, phi, errs, ok
+        memo[key] = Vec3(ax, ay, az), phi, errs, ok
         return memo[key]
 
     # potentials at the row point

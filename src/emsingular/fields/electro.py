@@ -11,7 +11,7 @@ from typing import Callable
 
 from .. import exterior3, kernels
 from ..errors import InvalidGeometryError, OnSupportError, OutOfDomainError
-from ..geometry import Point3, Vec3
+from ..geometry import Point3, Vec3, norm3
 # the benchmark's tracer (perfbench/tracer.py) patches this name here
 from ..quad import sum_series  # noqa: F401
 from ..sources import DipoleSource
@@ -30,11 +30,20 @@ def point_charge_potential(q: float, at: Point3, y: Point3,
 
 def dipole_potential(dip: DipoleSource, y: Point3,
                      medium: MediumConstants = VACUUM) -> PotentialResult:
-    """Ideal dipole: phi = m . (y - x0) / (4 pi eps |y - x0|^3)."""
-    sep = y - dip.location
-    d = sep.norm()
-    kernels.free_kernel(y, dip.location)  # shared coincidence guard
-    phi = dip.moment.dot(sep) / (4.0 * math.pi * medium.eps * d ** 3)
+    """Ideal dipole: phi = m . (y - x0) / (4 pi eps |y - x0|^3).
+
+    Written out in floats, one separation for the free kernel's
+    coincidence floor and for the value."""
+    at, m = dip.location, dip.moment
+    sx, sy, sz = y.x - at.x, y.y - at.y, y.z - at.z
+    d = norm3(sx, sy, sz)
+    if d < kernels.norm_floor(y.norm(), at.norm()):
+        raise kernels.coincident(y, at)
+    try:
+        d3 = d ** 3
+    except OverflowError:       # d above ~5.6e102 m
+        d3 = math.inf
+    phi = (m.x * sx + m.y * sy + m.z * sz) / (4.0 * math.pi * medium.eps * d3)
     return PotentialResult(y, Vec3(0.0, 0.0, 0.0), phi)
 
 
@@ -87,8 +96,8 @@ def plate_wire_potential(z0: float, lam: float, plate_gap: float, y: Point3,
         return PotentialResult(y, Vec3(0.0, 0.0, 0.0), 0.0,
                                {"rounding_error": 0.0, "converged": True})
     dz = z - z0
-    if math.hypot(y.x, dz) < kernels.coincident_floor(y,
-                                                      Point3(0.0, 0.0, z0)):
+    # the floor of y and (0, 0, z0), whose norm sqrt(z0 * z0) is |z0|
+    if math.hypot(y.x, dz) < kernels.norm_floor(y.norm(), abs(z0)):
         raise OnSupportError("field point lies on the wire")
     k = math.pi / L
     t = k * abs(y.x)
@@ -99,7 +108,8 @@ def plate_wire_potential(z0: float, lam: float, plate_gap: float, y: Point3,
          / (m * m + 4.0 * q * h * h))
     phi = lam / (4.0 * math.pi * medium.eps) * math.log1p(r)
     return PotentialResult(y, Vec3(0.0, 0.0, 0.0), phi, {
-        "rounding_error": EPS * (20.0 + 3.0 * t) * abs(phi),
+        # phi = 0 is exact also where t overflows to inf
+        "rounding_error": EPS * (20.0 + 3.0 * t) * abs(phi) if phi else 0.0,
         "converged": True,
     })
 

@@ -14,34 +14,27 @@ the field point.  An approaching charge (n.v > 0) is amplified,
 a receding one attenuated.  The potentials are not exact: positions
 far from the origin round, and the Doppler factor amplifies that;
 rounding_bound gives a first-order bound on their rounding.
+
+solve_retarded_time and lienard_wiechert run at every stencil point of
+every timed row, so both are written out in floats, with the operations
+of the Point3/Vec3 expressions they replaced in the same order: the
+same bits, without the objects.  lienard_wiechert measures the
+separation y - x(t') once and keeps the free kernel's coincidence floor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .. import exterior3, kernels
 from ..errors import CoincidentPointsError, SuperluminalError
-from ..geometry import Point3, Vec3
+from ..geometry import Point3, Vec3, norm3
 from ..sources import PointSource
 from .base import PotentialResult
 from .medium import VACUUM, MediumConstants
 
 EPS = 2.0 ** -52
 _SPLIT = 134217729.0     # 2^27 + 1, splits a double into two halves
-
-
-@dataclass(frozen=True)
-class RetardedState:
-    """Geometry of the emission event for one (field point, time)."""
-
-    t_ret: float
-    x_ret: Point3
-    v_ret: Vec3
-    n: Vec3          # unit, emission point -> field point
-    r_ret: float     # |y - x_ret|
-    doppler: float   # 1 / (1 - n.v/c)
 
 
 def solve_retarded_time(src: PointSource, y: Point3, t: float,
@@ -51,35 +44,23 @@ def solve_retarded_time(src: PointSource, y: Point3, t: float,
     With w = y - x(t) and k = c^2 - v.v the delay tau = t - t' is the
     positive root of k tau^2 - 2 (w.v) tau - |w|^2 = 0.  Each branch
     below adds like signs, so neither cancels."""
-    v = src.v
-    vv = v.dot(v)
+    x0, v = src.x0, src.v
+    vx, vy, vz = v.x, v.y, v.z
+    vv = vx * vx + vy * vy + vz * vz
     if vv >= c * c:
         raise SuperluminalError(
             "trajectory speed %g is not below c = %g" % (math.sqrt(vv), c))
     k = c * c - vv
-    w = y - src.position(t)
-    w2 = w.dot(w)
+    wx = y.x - (x0.x + t * vx)
+    wy = y.y - (x0.y + t * vy)
+    wz = y.z - (x0.z + t * vz)
+    w2 = wx * wx + wy * wy + wz * wz
     if w2 == 0.0:
         return t     # y is the present position: zero delay
-    wv = w.dot(v)
+    wv = wx * vx + wy * vy + wz * vz
     root = math.sqrt(wv * wv + k * w2)
     tau = (wv + root) / k if wv >= 0.0 else w2 / (root - wv)
     return t - tau
-
-
-def retarded_state(src: PointSource, y: Point3, t: float,
-                   medium: MediumConstants = VACUUM) -> RetardedState:
-    t_ret = solve_retarded_time(src, y, t, medium.c)
-    x_ret = src.position(t_ret)
-    v_ret = src.velocity(t_ret)
-    sep = y - x_ret
-    r = sep.norm()
-    if r == 0.0:
-        raise CoincidentPointsError(
-            "field point coincides with the emission point")
-    n = sep / r
-    beta_n = n.dot(v_ret) / medium.c
-    return RetardedState(t_ret, x_ret, v_ret, n, r, 1.0 / (1.0 - beta_n))
 
 
 def lienard_wiechert(src: PointSource, y: Point3, t: float,
@@ -87,19 +68,37 @@ def lienard_wiechert(src: PointSource, y: Point3, t: float,
     """Scalar and vector potentials of the moving charge at (y, t).
 
         phi = (q / eps) * kernel(y, x_ret) * doppler
-        a   = mu * q * kernel(y, x_ret) * doppler * v_ret
+        a   = mu * q * kernel(y, x_ret) * doppler * v
 
-    rounding_bound bounds their rounding, at extra cost, on request.
+    with x_ret = x(t'), r = |y - x_ret|, n = (y - x_ret) / r, the
+    kernel 1 / (4 pi r) and doppler = 1 / (1 - n.v/c), all from the one
+    r.  Its diagnostics hold t_ret, doppler, r_ret and n, from which
+    rounding_bound bounds the rounding of phi and a, on request.
     """
-    st = retarded_state(src, y, t, medium)
-    k = kernels.free_kernel(y, st.x_ret)
-    phi = (src.q / medium.eps) * k * st.doppler
-    a = (medium.mu * src.q * k * st.doppler) * st.v_ret
-    return PotentialResult(y, a, phi, {
-        "t_ret": st.t_ret,
-        "doppler": st.doppler,
-        "r_ret": st.r_ret,
-        "n": st.n,
+    c = medium.c
+    t_ret = solve_retarded_time(src, y, t, c)
+    x0, v = src.x0, src.v
+    vx, vy, vz = v.x, v.y, v.z
+    xx = x0.x + t_ret * vx
+    xy = x0.y + t_ret * vy
+    xz = x0.z + t_ret * vz
+    sx, sy, sz = y.x - xx, y.y - xy, y.z - xz
+    r = norm3(sx, sy, sz)
+    if r == 0.0:
+        raise CoincidentPointsError(
+            "field point coincides with the emission point")
+    nx, ny, nz = sx / r, sy / r, sz / r
+    doppler = 1.0 / (1.0 - (nx * vx + ny * vy + nz * vz) / c)
+    if r < kernels.norm_floor(y.norm(), norm3(xx, xy, xz)):
+        raise kernels.coincident(y, Point3(xx, xy, xz))
+    k = 1.0 / (4.0 * math.pi * r)
+    phi = (src.q / medium.eps) * k * doppler
+    s = medium.mu * src.q * k * doppler
+    return PotentialResult(y, Vec3(vx * s, vy * s, vz * s), phi, {
+        "t_ret": t_ret,
+        "doppler": doppler,
+        "r_ret": r,
+        "n": Vec3(nx, ny, nz),
     })
 
 

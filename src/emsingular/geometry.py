@@ -10,6 +10,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+_INF = math.inf
+
+
+def norm3(x: float, y: float, z: float) -> float:
+    """sqrt(x^2 + y^2 + z^2), the sum of squares formed left to right.
+
+    Where that sum overflows, math.hypot gives the finite norm instead,
+    so no finite result moves a bit."""
+    s = x * x + y * y + z * z
+    return math.sqrt(s) if s != _INF else math.hypot(x, y, z)
+
 
 @dataclass(frozen=True, slots=True)
 class Vec3:
@@ -45,7 +56,7 @@ class Vec3:
         )
 
     def norm(self) -> float:
-        return math.sqrt(self.dot(self))
+        return norm3(self.x, self.y, self.z)
 
     def normalized(self) -> "Vec3":
         n = self.norm()
@@ -86,7 +97,7 @@ class Point3:
         return Point3(c[0], c[1], c[2])
 
     def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        return norm3(self.x, self.y, self.z)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)

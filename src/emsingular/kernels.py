@@ -32,17 +32,25 @@ bessel_k0 = _core.bessel_k0
 
 
 def coincident_floor(x: Point3, y: Point3) -> float:
-    return 1e-12 * (1.0 + x.norm() + y.norm())
+    return norm_floor(x.norm(), y.norm())
+
+
+def norm_floor(norm_x: float, norm_y: float) -> float:
+    """coincident_floor of two points, from their norms |x| and |y|."""
+    return 1e-12 * (1.0 + norm_x + norm_y)
+
+
+def coincident(x: Point3, y: Point3) -> CoincidentPointsError:
+    """The refusal of two points closer than the floor."""
+    return CoincidentPointsError(
+        "field and source points coincide within the floor: %r, %r" % (x, y))
 
 
 def separation(x: Point3, y: Point3) -> float:
     """|x - y|, raising CoincidentPointsError below the floor."""
     d = (x - y).norm()
     if d < coincident_floor(x, y):
-        raise CoincidentPointsError(
-            "field and source points coincide within the floor: %r, %r"
-            % (x, y)
-        )
+        raise coincident(x, y)
     return d
 
 

@@ -224,3 +224,20 @@ def test_plate_wire_field_vanishes_far_down_the_gap():
     scale = abs(electro.plate_wire_potential(0.5, 1e-9, 1.0,
                                              Point3(0.3, 0.0, 0.5)).phi)
     assert abs(res.phi) < 1e-12 * scale
+
+
+def test_plate_wire_far_beyond_overflow_is_off_the_wire():
+    # |y|^2 overflows: the coincidence floor must stay finite, and
+    # phi = 0, exact where exp(-k |x|) underflows, reports no error
+    for x in (1e200, 1e308, -1e308):
+        res = electro.plate_wire_potential(0.5, 1e-9, 1.0,
+                                           Point3(x, 0.0, 0.5))
+        assert res.phi == 0.0
+        assert res.diagnostics["rounding_error"] == 0.0
+
+
+def test_dipole_far_away_is_zero_not_an_overflow():
+    # |y - x0|^3 overflows from ~5.6e102 m and |y - x0|^2 from ~1.3e154
+    dip = DipoleSource(Point3(0.0, 0.0, 0.0), Vec3(1e-12, 0.0, 0.0))
+    for x in (1e120, 1e200, -1e308):
+        assert electro.dipole_potential(dip, Point3(x, 0.0, 0.0)).phi == 0.0

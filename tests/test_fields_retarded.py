@@ -98,22 +98,26 @@ def test_doppler_factor_on_axis():
     beta = 0.6
     v = Vec3(beta * C0, 0.0, 0.0)
     src = uniform_point_charge(Q, Point3(0.0, 0.0, 0.0), v)
-    ahead = retarded.retarded_state(src, Point3(2.0, 0.0, 0.0), t=0.0)
-    behind = retarded.retarded_state(src, Point3(-2.0, 0.0, 0.0), t=0.0)
-    assert ahead.doppler == pytest.approx(1.0 / (1.0 - beta), rel=1e-12)
-    assert behind.doppler == pytest.approx(1.0 / (1.0 + beta), rel=1e-12)
+    ahead = retarded.lienard_wiechert(src, Point3(2.0, 0.0, 0.0),
+                                      t=0.0).diagnostics
+    behind = retarded.lienard_wiechert(src, Point3(-2.0, 0.0, 0.0),
+                                       t=0.0).diagnostics
+    assert ahead["doppler"] == pytest.approx(1.0 / (1.0 - beta), rel=1e-12)
+    assert behind["doppler"] == pytest.approx(1.0 / (1.0 + beta), rel=1e-12)
     # emission times: t' = -Y / (c (1 -+ beta))
-    assert ahead.t_ret == pytest.approx(-2.0 / (C0 * (1.0 - beta)), rel=1e-12)
-    assert behind.t_ret == pytest.approx(-2.0 / (C0 * (1.0 + beta)), rel=1e-12)
+    assert ahead["t_ret"] == pytest.approx(-2.0 / (C0 * (1.0 - beta)),
+                                           rel=1e-12)
+    assert behind["t_ret"] == pytest.approx(-2.0 / (C0 * (1.0 + beta)),
+                                            rel=1e-12)
 
 
 def test_doppler_amplifies_approach_attenuates_recession():
     v = Vec3(0.0, 0.0, 0.5 * C0)
     src = uniform_point_charge(Q, Point3(0.0, 0.0, 0.0), v)
-    toward = retarded.retarded_state(src, Point3(0.3, 0.1, 5.0), t=0.0)
-    away = retarded.retarded_state(src, Point3(0.3, 0.1, -5.0), t=0.0)
-    assert toward.doppler > 1.0
-    assert away.doppler < 1.0
+    toward = retarded.lienard_wiechert(src, Point3(0.3, 0.1, 5.0), t=0.0)
+    away = retarded.lienard_wiechert(src, Point3(0.3, 0.1, -5.0), t=0.0)
+    assert toward.diagnostics["doppler"] > 1.0
+    assert away.diagnostics["doppler"] < 1.0
 
 
 # ---------------------------------------------------------------- solver
@@ -353,7 +357,7 @@ def test_lightspeed_trajectory_rejected():
 def test_field_point_on_trajectory_rejected():
     src = static_point_charge(Q, Point3(0.7, 0.0, 0.0))
     with pytest.raises(CoincidentPointsError):
-        retarded.retarded_state(src, Point3(0.7, 0.0, 0.0), t=0.0)
+        retarded.lienard_wiechert(src, Point3(0.7, 0.0, 0.0), t=0.0)
 
 
 # ------------------------------------------------------------------ gauge
@@ -374,3 +378,13 @@ def test_lorenz_residual_small_for_static_charge():
     # a = 0 and phi is time independent: both terms vanish identically,
     # so only the div-a magnitudes feed the scale
     assert abs(residual) <= 1e-10 * max(scale, 1e-30) + 1e-30
+
+
+def test_far_charge_is_not_coincident():
+    # |y|^2 overflows; the coincidence floor, 1e-12 of |y|, must not
+    at = Point3(2e154, 0.0, 0.0)
+    res = retarded.lienard_wiechert(static_point_charge(Q, at),
+                                    Point3(2e154, 1e144, 0.0), t=0.0)
+    assert res.phi == pytest.approx(Q / (4.0 * math.pi * EPS0 * 1e144),
+                                    rel=1e-14)
+    assert res.diagnostics["r_ret"] == 1e144

@@ -1,14 +1,19 @@
 """Every function the benchmark's per-layer tracer patches still exists.
 
 `perfbench/tracer.py` replaces program functions by (module, attribute)
-name; a refactor that moves one makes `--trace 1` fail at install.  The
-names are read from the tracer's source with `ast`, so this neither
-imports nor edits the benchmark.
+name; a refactor that moves one makes `--trace 1` fail at install, and
+one that stops calling a name through its module makes that wrapper
+read 0.  The names are read from the tracer's source with `ast`, so
+this neither imports nor edits the benchmark.
 """
 
 import ast
+import csv
 import importlib
+import textwrap
 from pathlib import Path
+
+from emsingular import cli
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -29,3 +34,53 @@ def test_every_traced_name_resolves():
     missing = ["%s.%s" % (module, attr) for module, attr in names
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
+
+
+def test_traced_names_count_every_source_evaluation(tmp_path, monkeypatch):
+    # each ok timed row evaluates every source at its 9 stencil points;
+    # a wrapper at a name the program no longer calls would read 0
+    scene_text = """\
+    schema: 1
+    sources:
+      - type: plate_wire
+        z0: 0.4
+        lambda: 1.0e-9
+        gap: 1.0
+      - type: point_charge
+        q: 1.0e-9
+        position: [0.0, -1.0, 0.5]
+        velocity: [3.0e+7, 6.0e+7, 0.0]
+      - type: dipole
+        position: [0.0, 1.0, 0.5]
+        moment: [0.0, 0.0, 1.0e-12]
+    grid:
+      x: {start: 0.2, stop: 0.6, count: 3}
+      y: {start: 0.0, stop: 0.3, count: 2}
+      z: 0.5
+      time: {start: 0.0, stop: 2.0e-9, count: 2}
+    outputs: [phi, a, e, residual]
+    """
+    calls = {}
+    for module, attr in traced_names():
+        target = importlib.import_module(module)
+        key = "%s.%s" % (module, attr)
+        calls[key] = 0
+
+        def counting(*args, _inner=getattr(target, attr), _key=key,
+                     **kwargs):
+            calls[_key] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(target, attr, counting)
+    scene = tmp_path / "scene.yaml"
+    scene.write_text(textwrap.dedent(scene_text))
+    out = tmp_path / "map.csv"
+    assert cli.main(["run", "--scene", str(scene), "--out", str(out)]) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
+    assert [r["status"] for r in rows] == ["ok"] * 12
+    for name in ("emsingular.fields.electro.plate_wire_potential",
+                 "emsingular.fields.electro.dipole_potential",
+                 "emsingular.fields.retarded.lienard_wiechert",
+                 "emsingular.fields.retarded.solve_retarded_time"):
+        assert calls[name] == 9 * 12, name
