@@ -12,13 +12,15 @@ carries a status:
     out_of_domain the point (or its difference stencil) leaves a
                   source's domain of validity (plate gap)
 
-Converged rows contain no NaN; refused cells in flagged rows are NaN.
-Derivatives (b, e, residual) are finite differences of the summed
+Converged rows contain no NaN; refused cells in flagged rows are NaN,
+and a row whose stencil is refused writes every derivative column NaN.
+Derivatives (b, e, residual) are central differences of the summed
 potentials with step h = fd_step(point), so superposition holds
-row-wise to rounding.  The stencils of b, e and the gauge residual share
-their points, and each distinct stencil point is evaluated once per
-row: 1 source evaluation for [a], 7 for [a, b] or a static e, 9 for a
-timed [phi, a, e, residual] row.
+row-wise to rounding.  b, e and the gauge residual share one stencil,
+evaluated as plain float tuples, each point once: the row point,
++-h on each axis, and t +- dt when a timed row asks for e or the
+residual.  That is 1 source evaluation per row for [a], 7 for [a, b]
+or a static e, 9 for a timed [phi, a, e, residual] row.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 
-from . import exterior3, sources
+from . import sources
 from .errors import (ConvergenceError, OnSupportError, OutOfDomainError)
 from .fields import electro, magneto, retarded
 from .fields.medium import MediumConstants
@@ -218,15 +220,8 @@ def compute_row(scene: Scene, parts: list[SourcePart],
     timed = any(p.time_dependent for p in parts) or scene.timed
     h = scene.fd_step(point.norm())
     status = "ok"
-    # Stencil points repeat bit for bit (same shifted()/t +- dt
-    # expressions), so each distinct (y, at) is evaluated once per row.
-    # Only returned results are kept: a raising point raises again.
-    memo: dict = {}
 
     def total(y: Point3, at: float):
-        key = (y.x, y.y, y.z, at)
-        if key in memo:
-            return memo[key]
         ax = ay = az = phi = 0.0
         errs = []
         ok = True
@@ -238,16 +233,13 @@ def compute_row(scene: Scene, parts: list[SourcePart],
             phi += pv
             errs.append(ev)
             ok = ok and okv
-        memo[key] = Vec3(ax, ay, az), phi, errs, ok
-        return memo[key]
+        return (ax, ay, az, phi), errs, ok
 
     # potentials at the row point
-    a_val: Vec3 | float = _NAN
-    phi_val = _NAN
+    pot_val = (_NAN,) * 4
     err_val = _NAN
     try:
-        a_vec, phi_val, errs, converged = total(point, t)
-        a_val = a_vec
+        pot_val, errs, converged = total(point, t)
         err_val = 0.0
         for part, ev in zip(parts, errs):
             err_val += part.error(point, t, ev) if part.error else ev
@@ -267,24 +259,13 @@ def compute_row(scene: Scene, parts: list[SourcePart],
         status = "on_support"
         derivatives_ok = False
 
-    b_val = e_val = Vec3(_NAN, _NAN, _NAN)
+    b_val = e_val = (_NAN,) * 3
     res_val = res_scale = _NAN
     if derivatives_ok:
         try:
-            if "b" in scene.outputs:
-                b_val = magneto.derive_b(
-                    lambda p: total(p, t)[0], h)(point)
-            if "e" in scene.outputs:
-                e_val = electro.derive_e(
-                    lambda p: total(p, t)[1], h)(point)
-                if timed:
-                    dt = h / medium.c
-                    da = (total(point, t + dt)[0]
-                          - total(point, t - dt)[0]) / (2.0 * dt)
-                    e_val = e_val - da
-            if "residual" in scene.outputs:
-                res_val, res_scale = _gauge_residual(total, point, t, h,
-                                                     medium, timed)
+            b_val, e_val, res_val, res_scale = _derivatives(
+                lambda y, at: total(y, at)[0], point, t, h, medium, timed,
+                scene.outputs)
         except OnSupportError:
             status = "on_support"
         except OutOfDomainError:
@@ -297,14 +278,13 @@ def compute_row(scene: Scene, parts: list[SourcePart],
         row.append(t)
     for out in scene.outputs:
         if out == "a":
-            row += ([a_val.x, a_val.y, a_val.z]
-                    if isinstance(a_val, Vec3) else [_NAN] * 3)
+            row += pot_val[:3]
         elif out == "phi":
-            row.append(phi_val)
+            row.append(pot_val[3])
         elif out == "b":
-            row += [b_val.x, b_val.y, b_val.z]
+            row += b_val
         elif out == "e":
-            row += [e_val.x, e_val.y, e_val.z]
+            row += e_val
         elif out == "residual":
             row += [res_val, res_scale]
     row.append(err_val)
@@ -312,32 +292,56 @@ def compute_row(scene: Scene, parts: list[SourcePart],
     return row
 
 
-def _gauge_residual(total, point: Point3, t: float, h: float,
-                    medium: MediumConstants,
-                    timed: bool) -> tuple[float, float]:
-    """div a (via the codifferential) plus eps mu dphi/dt, with a
-    magnitude scale built from the individual contributions."""
-    form = exterior3.FormField.one_form(
-        lambda p, _t: total(p, t)[0].x,
-        lambda p, _t: total(p, t)[0].y,
-        lambda p, _t: total(p, t)[0].z,
-    )
-    delta = exterior3.codifferential(form, point, 0.0, h)
-    div_a = -delta[()]
+def _derivatives(pot, point: Point3, t: float, h: float,
+                 medium: MediumConstants, timed: bool, outputs) -> tuple:
+    """b, e, and the gauge residual div a + eps mu dphi/dt with its
+    scale, at one row point; the outputs not asked for are NaN.
 
-    scale = 0.0
-    for ax in range(3):
-        hi = total(point.shifted(ax, +h), t)[0].as_tuple()[ax]
-        lo = total(point.shifted(ax, -h), t)[0].as_tuple()[ax]
-        scale += abs((hi - lo) / (2.0 * h))
+    Central differences of pot(y, t) -> (a_x, a_y, a_z, phi), each
+    stencil point evaluated once: +-h on each axis, in the order b's
+    curl first reaches them (y, z, x) when b is asked for, else x, y,
+    z; then t +- dt for e or the residual of a timed row.  A potential
+    that is not finite where it is differenced raises OnSupportError.
+    The sums are those of hodge(d a), -d phi and -codifferential(a) in
+    exterior3, so the results match that route bit for bit, signed
+    zeros included: b_y, for one, is -((0 - d_z a_x) + d_x a_z).
+    """
+    hi, lo = {}, {}
+    for axis in (1, 2, 0) if "b" in outputs else (0, 1, 2):
+        hi[axis] = pot(point.shifted(axis, h), t)
+        lo[axis] = pot(point.shifted(axis, -h), t)
+    dt = h / medium.c
+    if timed and ("e" in outputs or "residual" in outputs):
+        later, earlier = pot(point, t + dt), pot(point, t - dt)
 
-    term = 0.0
-    if timed:
-        dt = h / medium.c
-        phi_hi = total(point, t + dt)[1]
-        phi_lo = total(point, t - dt)[1]
-        term = medium.eps * medium.mu * (phi_hi - phi_lo) / (2.0 * dt)
-    return div_a + term, scale + abs(term)
+    def d(i: int, axis: int) -> float:
+        """d/d(axis) of potential component i (a_x, a_y, a_z, phi)."""
+        up, down = hi[axis][i], lo[axis][i]
+        if not (math.isfinite(up) and math.isfinite(down)):
+            raise OnSupportError("potential not finite within the "
+                                 "difference stencil at %r" % (point,))
+        return (up - down) / (2.0 * h)
+
+    b = e = (_NAN,) * 3
+    res = scale = _NAN
+    if "b" in outputs:
+        b = ((0.0 - d(1, 2)) + d(2, 1),
+             -((0.0 - d(0, 2)) + d(2, 0)),
+             (0.0 - d(0, 1)) + d(1, 0))
+    if "e" in outputs:
+        e = tuple(-(0.0 + d(3, axis)) for axis in range(3))
+        if timed:
+            e = tuple(e[i] - (later[i] - earlier[i]) / (2.0 * dt)
+                      for i in range(3))
+    if "residual" in outputs:
+        div = [d(axis, axis) for axis in range(3)]
+        term = 0.0
+        if timed:
+            term = (medium.eps * medium.mu * (later[3] - earlier[3])
+                    / (2.0 * dt))
+        res = -(((0.0 - div[0]) - div[1]) - div[2]) + term
+        scale = abs(div[0]) + abs(div[1]) + abs(div[2]) + abs(term)
+    return b, e, res, scale
 
 
 # ---------------------------------------------------------------------------

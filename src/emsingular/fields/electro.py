@@ -7,9 +7,8 @@ for every field point, with a rounding-level error bound."""
 from __future__ import annotations
 
 import math
-from typing import Callable
 
-from .. import exterior3, kernels
+from .. import kernels
 from ..errors import InvalidGeometryError, OnSupportError, OutOfDomainError
 from ..geometry import Point3, Vec3, norm3
 # the benchmark's tracer (perfbench/tracer.py) patches this name here
@@ -112,18 +111,3 @@ def plate_wire_potential(z0: float, lam: float, plate_gap: float, y: Point3,
         "rounding_error": EPS * (20.0 + 3.0 * t) * abs(phi) if phi else 0.0,
         "converged": True,
     })
-
-
-def derive_e(phi: Callable[[Point3], float],
-             h: float | None = None) -> Callable[[Point3], Vec3]:
-    """Static E evaluator from a scalar-potential evaluator.
-
-    E is minus the gradient, computed as the exterior derivative of the
-    0-form read back as a vector."""
-    form = exterior3.FormField.scalar(lambda p, t: phi(p))
-
-    def e_at(point: Point3) -> Vec3:
-        one = exterior3.d_numeric(form, point, 0.0, h)
-        return Vec3(-one[(0,)], -one[(1,)], -one[(2,)])
-
-    return e_at

@@ -1,11 +1,12 @@
-"""Scalar Green kernels: free space, retarded, and parallel-plate Dirichlet.
+"""Scalar Green kernels: free space, frequency domain, grounded slab.
 
 All field evaluators reduce to quadratures of one scalar two-point
 function; the kernels here are those functions.  Conventions:
 
 * free space        f(X, Y) = 1 / (4 pi |x - y|)
 * frequency domain  f(X, Y; omega) = exp(-i omega |x-y| / c) / (4 pi |x-y|)
-* time domain       handled via retarded_delay(X, Y, c) = |x - y| / c
+* time domain       the delay |x - y| / c, solved for the emission time
+                    in fields.retarded
 * grounded slab     eigenfunction series reduced to the working form
 
       G(X, Y) = (1/(pi L)) sum_n sin(n pi z / L) sin(n pi z' / L)
@@ -57,13 +58,6 @@ def separation(x: Point3, y: Point3) -> float:
 def free_kernel(x: Point3, y: Point3) -> float:
     """Free-space static kernel 1/(4 pi |x - y|); symmetric and harmonic."""
     return 1.0 / (4.0 * math.pi * separation(x, y))
-
-
-def retarded_delay(x: Point3, y: Point3, c: float) -> float:
-    """Light travel time |x - y| / c; zero for coincident points."""
-    if c <= 0.0:
-        raise ValueError("signal speed must be positive")
-    return (x - y).norm() / c
 
 
 def helmholtz_kernel(x: Point3, y: Point3, omega: float, c: float) -> complex:

@@ -59,20 +59,6 @@ def test_dipole_angular_dependence():
     assert res.phi == pytest.approx(expected, rel=1e-13)
 
 
-def test_derive_e_is_coulomb_field():
-    q = 1e-9
-    phi = lambda p: electro.point_charge_potential(  # noqa: E731
-        q, Point3(0, 0, 0), p).phi
-    e = electro.derive_e(phi)
-    y = Point3(1.0, 2.0, -2.0)
-    r = y.norm()
-    expected = q / (4.0 * math.pi * EPS0 * r * r)
-    got = e(y)
-    assert got.norm() == pytest.approx(expected, rel=1e-7)
-    # radially outward for positive charge
-    assert got.dot(y - Point3(0, 0, 0)) > 0.0
-
-
 # ---------------------------------------------------------------------------
 # line charge between grounded plates
 

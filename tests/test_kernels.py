@@ -18,8 +18,7 @@ from emsingular.errors import (CoincidentPointsError, ConvergenceError,
 from emsingular.exterior3 import FormField, laplacian
 from emsingular.geometry import Point3
 from emsingular.kernels import (PlateGreen, bessel_k0, free_kernel,
-                                helmholtz_kernel, plate_green,
-                                retarded_delay, separation)
+                                helmholtz_kernel, plate_green, separation)
 
 # frozen from the k-quadrature oracle, rho=0.35, z=0.4, z'=0.7, L=1
 PLATE_ORACLE = 0.07112930505726936
@@ -53,14 +52,6 @@ def test_free_kernel_is_harmonic_off_source():
         got = laplacian(f, pt, h=1e-3)[()]
         scale = free_kernel(pt, y) / (pt - y).norm() ** 2
         assert abs(got[()] if isinstance(got, dict) else got) < 1e-4 * scale
-
-
-def test_retarded_delay():
-    x = Point3(0.0, 0.0, 0.0)
-    y = Point3(3.0, 4.0, 0.0)
-    assert retarded_delay(x, y, 2.0) == pytest.approx(2.5, rel=1e-15)
-    with pytest.raises(ValueError):
-        retarded_delay(x, y, 0.0)
 
 
 def test_helmholtz_reduces_to_static_at_zero_frequency():

@@ -36,10 +36,34 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
+def counted_run(tmp_path, monkeypatch, scene_text):
+    """Run scene_text with every traced name counting its calls; the
+    counts by traced name and the rows' statuses."""
+    calls = {}
+    for module, attr in traced_names():
+        target = importlib.import_module(module)
+        key = "%s.%s" % (module, attr)
+        calls[key] = 0
+
+        def counting(*args, _inner=getattr(target, attr), _key=key,
+                     **kwargs):
+            calls[_key] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(target, attr, counting)
+    scene = tmp_path / "scene.yaml"
+    scene.write_text(textwrap.dedent(scene_text))
+    out = tmp_path / "map.csv"
+    assert cli.main(["run", "--scene", str(scene), "--out", str(out)]) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
+    return calls, [r["status"] for r in rows]
+
+
 def test_traced_names_count_every_source_evaluation(tmp_path, monkeypatch):
     # each ok timed row evaluates every source at its 9 stencil points;
     # a wrapper at a name the program no longer calls would read 0
-    scene_text = """\
+    calls, statuses = counted_run(tmp_path, monkeypatch, """\
     schema: 1
     sources:
       - type: plate_wire
@@ -59,28 +83,52 @@ def test_traced_names_count_every_source_evaluation(tmp_path, monkeypatch):
       z: 0.5
       time: {start: 0.0, stop: 2.0e-9, count: 2}
     outputs: [phi, a, e, residual]
-    """
-    calls = {}
-    for module, attr in traced_names():
-        target = importlib.import_module(module)
-        key = "%s.%s" % (module, attr)
-        calls[key] = 0
-
-        def counting(*args, _inner=getattr(target, attr), _key=key,
-                     **kwargs):
-            calls[_key] += 1
-            return _inner(*args, **kwargs)
-
-        monkeypatch.setattr(target, attr, counting)
-    scene = tmp_path / "scene.yaml"
-    scene.write_text(textwrap.dedent(scene_text))
-    out = tmp_path / "map.csv"
-    assert cli.main(["run", "--scene", str(scene), "--out", str(out)]) == 0
-    with open(out) as fh:
-        rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
-    assert [r["status"] for r in rows] == ["ok"] * 12
+    """)
+    assert statuses == ["ok"] * 12
     for name in ("emsingular.fields.electro.plate_wire_potential",
                  "emsingular.fields.electro.dipole_potential",
                  "emsingular.fields.retarded.lienard_wiechert",
                  "emsingular.fields.retarded.solve_retarded_time"):
         assert calls[name] == 9 * 12, name
+
+
+def test_traced_names_count_every_magnetic_evaluation(tmp_path, monkeypatch):
+    # each ok [a, b] row evaluates every source at its 7 stencil points,
+    # and each loop, helix or sheet evaluation runs its _core kernel once
+    calls, statuses = counted_run(tmp_path, monkeypatch, """\
+    schema: 1
+    sources:
+      - type: loop
+        radius: 1.0
+        current: 2.0
+      - type: helix
+        radius: 0.5
+        pitch: 0.1
+        length: 2.0
+        current: 1.0
+      - type: solenoid
+        radius: 2.0
+        pitch: 0.05
+        length: 1.0
+        kappa0: 3.0
+      - type: polyline
+        current: 1.5
+        points: [[2.0, -0.5, 0.0], [3.0, -0.5, 0.0], [3.0, 0.5, 0.0],
+                 [2.0, 0.5, 0.0], [2.0, -0.5, 0.0]]
+    grid:
+      x: {start: 0.75, stop: 1.25, count: 2}
+      y: 0.0
+      z: {start: 0.3, stop: 0.5, count: 2}
+    outputs: [a, b]
+    """)
+    assert statuses == ["ok"] * 4
+    prefix = "emsingular.fields.magneto."
+    for name in ("loop_potential", "helix_potential", "solenoid_potential",
+                 "curve_potential", "loop_phi_integral", "helix_integrals",
+                 "solenoid_integrals"):
+        assert calls[prefix + name] == 7 * 4, name
+    assert calls["emsingular.fieldmap.compute_row"] == 4
+    for name in ("emsingular.cli.load_scene",
+                 "emsingular.fieldmap.build_parts",
+                 "emsingular.fieldmap.write_csv"):
+        assert calls[name] == 1, name
