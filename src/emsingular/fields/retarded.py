@@ -43,7 +43,9 @@ def solve_retarded_time(src: PointSource, y: Point3, t: float,
 
     With w = y - x(t) and k = c^2 - v.v the delay tau = t - t' is the
     positive root of k tau^2 - 2 (w.v) tau - |w|^2 = 0.  Each branch
-    below adds like signs, so neither cancels."""
+    below adds like signs, so neither cancels.  Where (w.v)^2 + k |w|^2
+    overflows (|w| beyond ~1e146 m), the root is taken for w scaled by
+    a power of two, which is exact, and the delay scaled back."""
     x0, v = src.x0, src.v
     vx, vy, vz = v.x, v.y, v.z
     vv = vx * vx + vy * vy + vz * vz
@@ -58,9 +60,18 @@ def solve_retarded_time(src: PointSource, y: Point3, t: float,
     if w2 == 0.0:
         return t     # y is the present position: zero delay
     wv = wx * vx + wy * vy + wz * vz
-    root = math.sqrt(wv * wv + k * w2)
+    disc = wv * wv + k * w2
+    scale = 1.0
+    if disc == math.inf:
+        scale = math.ldexp(
+            1.0, -math.frexp(max(abs(wx), abs(wy), abs(wz)))[1])
+        wx, wy, wz = wx * scale, wy * scale, wz * scale
+        w2 = wx * wx + wy * wy + wz * wz
+        wv = wx * vx + wy * vy + wz * vz
+        disc = wv * wv + k * w2
+    root = math.sqrt(disc)
     tau = (wv + root) / k if wv >= 0.0 else w2 / (root - wv)
-    return t - tau
+    return t - tau / scale
 
 
 def lienard_wiechert(src: PointSource, y: Point3, t: float,
@@ -163,7 +174,7 @@ def _w_rounding(src: PointSource, y: Point3, t: float) -> float:
     t_hi = h - (h - t)
     t_lo = t - t_hi
     x0, v = src.x0, src.v
-    total = 0.0
+    dws = []
     for yi, xi, vi in ((y.x, x0.x, v.x), (y.y, x0.y, v.y), (y.z, x0.z, v.z)):
         p = vi * t
         q = xi + p
@@ -176,9 +187,8 @@ def _w_rounding(src: PointSource, y: Point3, t: float) -> float:
         err_q = (xi - (q - h)) + (p - h)
         h = w - yi
         err_w = (yi - (w - h)) - (q + h)
-        dw = err_q + err_p - err_w
-        total += dw * dw
-    return math.sqrt(total)
+        dws.append(err_q + err_p - err_w)
+    return norm3(*dws)
 
 
 def lorenz_gauge_residual(src: PointSource, y: Point3, t: float,

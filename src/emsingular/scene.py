@@ -392,6 +392,8 @@ def _validate_axis(a, where: str) -> dict:
                          % (where, count))
     if count > 1 and stop == start:
         raise SceneError("%s: count > 1 with stop == start" % where)
+    if count > 1 and not math.isfinite(stop - start):
+        raise SceneError("%s: stop - start overflows" % where)
     return {"start": start, "stop": stop, "count": count}
 
 

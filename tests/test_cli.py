@@ -99,6 +99,20 @@ def test_boolean_max_subdivisions_refused(tmp_path, capsys):
     assert "quadrature.max_subdivisions" in capsys.readouterr().err
 
 
+def test_grid_axis_whose_span_overflows_refused(tmp_path, capsys):
+    # both ends are finite, but stop - start is inf: the rows between
+    # would sit at inf or nan
+    scene = write_scene(tmp_path, LOOP_SCENE.replace(
+        "x: {start: 1.5, stop: 2.5, count: 3}",
+        "x: {start: -1.7e308, stop: 1.7e308, count: 2}"))
+    assert cli.main(["validate", "--scene", scene]) == 1
+    assert "grid.x" in capsys.readouterr().err
+    scene = write_scene(tmp_path, LOOP_SCENE.replace(
+        "x: {start: 1.5, stop: 2.5, count: 3}",
+        "x: {start: -1.7e308, stop: 1.7e308, count: 1}"), name="one.yaml")
+    assert cli.main(["validate", "--scene", scene]) == 0
+
+
 def test_validate_missing_file(tmp_path, capsys):
     assert cli.main(["validate", "--scene", str(tmp_path / "nope.yaml")]) == 1
     assert "cannot read scene file" in capsys.readouterr().err

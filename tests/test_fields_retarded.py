@@ -388,3 +388,45 @@ def test_far_charge_is_not_coincident():
     assert res.phi == pytest.approx(Q / (4.0 * math.pi * EPS0 * 1e144),
                                     rel=1e-14)
     assert res.diagnostics["r_ret"] == 1e144
+
+
+@pytest.mark.parametrize("x, velocity", [
+    (1e150, [0.0, 0.0, 0.0]),
+    (1e150, [1.5e8, -1.0e8, 0.5e8]),
+    (1e300, [1.5e8, -1.0e8, 0.5e8]),
+])
+def test_run_far_charge_rows_are_ok(tmp_path, x, velocity):
+    # beyond ~1e146 m, (w.v)^2 + k |w|^2 in the emission-time solve
+    # overflows; the row must still hold the closed-form potential,
+    # within its quad_error, and finite fields
+    scene = tmp_path / "scene.yaml"
+    scene.write_text(textwrap.dedent("""\
+    schema: 1
+    sources:
+      - type: point_charge
+        q: 1.0e-9
+        position: [0.0, 0.0, 0.0]
+        velocity: %s
+    grid:
+      x: %r
+      y: 0.0
+      z: 0.0
+      time: 1.0
+    outputs: [phi, a, e]
+    """ % (velocity, x)))
+    out = tmp_path / "map.csv"
+    assert cli.main(["run", "--scene", str(scene), "--out", str(out)]) == 0
+    with open(out) as fh:
+        (row,) = list(csv.DictReader(ln for ln in fh
+                                     if not ln.startswith("#")))
+    assert row["status"] == "ok"
+    phi, a = exact_potentials(1.0e-9, Point3(0.0, 0.0, 0.0),
+                              Vec3(*velocity), Point3(x, 0.0, 0.0), 1.0)
+    bound = Decimal(row["quad_error"])
+    assert abs(Decimal(row["phi"]) - phi) <= bound
+    assert abs(Decimal(row["phi"]) - phi) <= Decimal(1e-13) * phi
+    if velocity == [0.0, 0.0, 0.0]:
+        assert float(row["phi"]) == pytest.approx(
+            1.0e-9 / (4.0 * math.pi * EPS0 * x), rel=1e-14)
+    for key in ("a_x", "a_y", "a_z", "e_x", "e_y", "e_z"):
+        assert math.isfinite(float(row[key])), key

@@ -13,6 +13,8 @@ import importlib
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from emsingular import cli
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -132,3 +134,29 @@ def test_traced_names_count_every_magnetic_evaluation(tmp_path, monkeypatch):
                  "emsingular.fieldmap.build_parts",
                  "emsingular.fieldmap.write_csv"):
         assert calls[name] == 1, name
+
+
+@pytest.mark.parametrize("x, scans", [(0.502, 1), (0.9, 0)])
+def test_helix_scan_runs_only_for_the_near_guard(tmp_path, monkeypatch, x,
+                                                 scans):
+    # 2 mm from the helix's band, within 3 h = 3 mm of it, the guard
+    # that refuses derivatives scans the wire once; the stencil's
+    # potentials stay far outside the on-support floor, so they never
+    # scan, and a row far from the band does not scan at all
+    calls, statuses = counted_run(tmp_path, monkeypatch, """\
+    schema: 1
+    sources:
+      - type: helix
+        radius: 0.5
+        pitch: 0.1
+        length: 2.0
+        current: 1.0
+    grid:
+      x: %r
+      y: 0.0
+      z: 0.1
+    outputs: [a, b]
+    """ % x)
+    assert statuses == ["ok"]
+    assert calls["emsingular.fields.magneto.helix_potential"] == 7
+    assert calls["emsingular.fields.magneto.min_distance_to_curve"] == scans
