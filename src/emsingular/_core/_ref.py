@@ -9,11 +9,11 @@ runtime.  Functions return plain tuples of floats and ints.
 One adaptive driver, _adaptive_panels, integrates k components over
 one interval on shared nodes, and each component must meet the
 tolerance on its own.  A scalar integral is the k = 1 case: _adaptive
-for a Python integrand, _loop_panel for the loop.  The helix and the
-cylinder sheet integrate all their components in one pass, so the chord
-they share is computed once per node; evaluation counts are nodes, each
-giving every component.  The loop, helix and sheet panels inline their
-integrands, with no call per node.
+for a Python integrand.  The loop, the helix and the cylinder sheet
+each integrate their potential and their Biot-Savart field in one pass,
+so the chord they share is computed once per node; evaluation counts
+are nodes, each giving every component.  The loop and helix panels
+inline their integrands, with no call per node.
 """
 
 from __future__ import annotations
@@ -215,51 +215,90 @@ def _adaptive(f, a: float, b: float, abs_tol: float, rel_tol: float,
 
 def loop_phi_integral(r: float, z: float, a: float, abs_tol: float,
                       rel_tol: float, max_sub: int):
-    """Int_0^{2pi} cos(psi) / sqrt(r^2+a^2+z^2 - 2 a r cos psi) dpsi.
+    """The loop's potential and Biot-Savart integrals over the azimuth
+    offset psi, with D = sqrt(r^2 + a^2 + z^2 - 2 a r cos psi):
 
-    Even in psi, so integrated on [0, pi] and doubled.
-    Returns (value, error_estimate, evaluations, converged).
+        I_phi = Int_0^{2pi} cos(psi) / D dpsi
+        J_r   = Int_0^{2pi} z cos(psi) / D^3 dpsi
+        J_z   = Int_0^{2pi} (a - r cos psi) / D^3 dpsi
+
+    a_phi, b_r and b_z are (mu I a / 4 pi) times them; b_phi vanishes,
+    its integrand being odd in psi.  All three are even, so they are
+    integrated on [0, pi] in one pass on shared nodes and doubled; each
+    meets the tolerance on its own.  a_err is the error of I_phi, b_err
+    the sum of those of J_r and J_z.
+
+    Returns (I_phi, J_r, J_z, a_err, b_err, evaluations, converged).
     """
-    (v,), (e,), n, ok = _adaptive_panels(_loop_panel(r * r + a * a + z * z,
-                                                     2.0 * a * r),
-                                         0.0, math.pi, 0.5 * abs_tol,
-                                         rel_tol, max_sub)
-    return 2.0 * v, 2.0 * e, n, ok
+    (v, jr, jz), (e, er, ez), n, ok = _adaptive_panels(
+        _loop_panel(r, z, a), 0.0, math.pi, 0.5 * abs_tol, rel_tol, max_sub)
+    return 2.0 * v, 2.0 * jr, 2.0 * jz, 2.0 * e, 2.0 * (er + ez), n, ok
 
 
-def _loop_panel(c0: float, two_ar: float):
-    """Panel of cos(psi) / sqrt(c0 - two_ar cos psi): _panel's
-    operations in _panel's order, with the integrand inlined."""
+def _loop_panel(r: float, z: float, a: float):
+    """Panel of cos(psi) / D, z cos(psi) / D^3 and (a - r cos psi) / D^3:
+    one sine and square root per node.
+
+    With s = sin(psi / 2), cos psi = 1 - 2 s^2, D^2 = (r - a)^2 + z^2
+    + 4 a r s^2 and a - r cos psi = (a - r) + 2 r s^2: D^2 adds like
+    signs and a - r cos psi cancels by no more than D, so both keep
+    their accuracy near the wire, where 1 / D^3 peaks."""
+    d0 = (r - a) * (r - a) + z * z
+    four_ar = 4.0 * a * r
+    a_r, two_r = a - r, 2.0 * r
     wk0, wg0 = WGK[7], WG[3]
 
     def panel(lo: float, hi: float):
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        cu = math.cos(mid)
-        fc = cu / math.sqrt(c0 - two_ar * cu)
-        resk = wk0 * fc
-        resg = wg0 * fc
+        s2 = math.sin(0.5 * mid) ** 2
+        cu = 1.0 - 2.0 * s2
+        w = 1.0 / math.sqrt(d0 + four_ar * s2)
+        w3 = w * w * w
+        f0, f1, f2 = cu * w, z * cu * w3, (a_r + two_r * s2) * w3
+        k0, k1, k2 = wk0 * f0, wk0 * f1, wk0 * f2
+        g0, g1, g2 = wg0 * f0, wg0 * f1, wg0 * f2
         for x, wk, wg in _PAIRS:
             dx = half * x
-            cu = math.cos(mid - dx)
-            f = cu / math.sqrt(c0 - two_ar * cu)
-            cu = math.cos(mid + dx)
-            f += cu / math.sqrt(c0 - two_ar * cu)
-            resk += wk * f
+            s2 = math.sin(0.5 * (mid - dx)) ** 2
+            cu = 1.0 - 2.0 * s2
+            w = 1.0 / math.sqrt(d0 + four_ar * s2)
+            w3 = w * w * w
+            f0, f1, f2 = cu * w, z * cu * w3, (a_r + two_r * s2) * w3
+            s2 = math.sin(0.5 * (mid + dx)) ** 2
+            cu = 1.0 - 2.0 * s2
+            w = 1.0 / math.sqrt(d0 + four_ar * s2)
+            w3 = w * w * w
+            f0 += cu * w
+            f1 += z * cu * w3
+            f2 += (a_r + two_r * s2) * w3
+            k0 += wk * f0
+            k1 += wk * f1
+            k2 += wk * f2
             if wg:
-                resg += wg * f
-        return (resk * half,), (abs(resk - resg) * abs(half),)
+                g0 += wg * f0
+                g1 += wg * f1
+                g2 += wg * f2
+        h = abs(half)
+        return ((k0 * half, k1 * half, k2 * half),
+                (abs(k0 - g0) * h, abs(k1 - g1) * h, abs(k2 - g2) * h))
 
     return panel
 
 
 def _helix_panel(r: float, phi: float, z: float, a: float, p: float,
                  P: float):
-    """Panel of the three helix integrands sin(u)/R, cos(u)/R and 1/R,
-    u = P s - phi: one cosine, sine and square root per node."""
-    c0 = r * r + a * a + z * z
+    """Panel of the six helix integrands of helix_integrals: one cosine,
+    sine and square root per node, each node inlined.
+
+    With c = 1 - cos u, taken as sin(u)^2 / (1 + cos u) where cos u > 0,
+    R^2 = (r - a)^2 + 2 a r c + dz^2 adds like signs, and a - r cos u =
+    (a - r) + r c and r - a cos u = (r - a) + a c cancel by no more than
+    R, so all keep their accuracy near the wire, where 1 / R^3 peaks."""
+    ra2 = (r - a) * (r - a)
     two_ar = 2.0 * a * r
-    two_z = 2.0 * z
+    a_r = a - r
+    ap, aq = a * P, a * p
     wk0, wg0 = WGK[7], WG[3]
 
     def panel(lo: float, hi: float):
@@ -267,40 +306,68 @@ def _helix_panel(r: float, phi: float, z: float, a: float, p: float,
         half = 0.5 * (hi - lo)
         u = P * mid - phi
         cu = math.cos(u)
-        ps = p * mid
-        w = 1.0 / math.sqrt(c0 + ps * (ps - two_z) - two_ar * cu)
-        fs = math.sin(u) * w
-        fc = cu * w
-        ks, kc, k1 = wk0 * fs, wk0 * fc, wk0 * w
-        gs, gc, g1 = wg0 * fs, wg0 * fc, wg0 * w
+        su = math.sin(u)
+        dz = z - p * mid
+        c = su * su / (1.0 + cu) if cu > 0.0 else 1.0 - cu
+        w = 1.0 / math.sqrt(ra2 + two_ar * c + dz * dz)
+        w3 = w * w * w
+        f0 = su * w
+        f1 = cu * w
+        f3 = (ap * cu * dz + aq * su) * w3
+        f4 = (p * (a * c - a_r) + ap * su * dz) * w3
+        f5 = ap * (a_r + r * c) * w3
+        k0, k1, k2 = wk0 * f0, wk0 * f1, wk0 * w
+        k3, k4, k5 = wk0 * f3, wk0 * f4, wk0 * f5
+        g0, g1, g2 = wg0 * f0, wg0 * f1, wg0 * w
+        g3, g4, g5 = wg0 * f3, wg0 * f4, wg0 * f5
         for x, wk, wg in _PAIRS:
             dx = half * x
             s = mid - dx
             u = P * s - phi
             cu = math.cos(u)
-            ps = p * s
-            w = 1.0 / math.sqrt(c0 + ps * (ps - two_z) - two_ar * cu)
-            fs = math.sin(u) * w
-            fc = cu * w
-            f1 = w
+            su = math.sin(u)
+            dz = z - p * s
+            c = su * su / (1.0 + cu) if cu > 0.0 else 1.0 - cu
+            w = 1.0 / math.sqrt(ra2 + two_ar * c + dz * dz)
+            w3 = w * w * w
+            f0 = su * w
+            f1 = cu * w
+            f2 = w
+            f3 = (ap * cu * dz + aq * su) * w3
+            f4 = (p * (a * c - a_r) + ap * su * dz) * w3
+            f5 = ap * (a_r + r * c) * w3
             s = mid + dx
             u = P * s - phi
             cu = math.cos(u)
-            ps = p * s
-            w = 1.0 / math.sqrt(c0 + ps * (ps - two_z) - two_ar * cu)
-            fs += math.sin(u) * w
-            fc += cu * w
-            f1 += w
-            ks += wk * fs
-            kc += wk * fc
+            su = math.sin(u)
+            dz = z - p * s
+            c = su * su / (1.0 + cu) if cu > 0.0 else 1.0 - cu
+            w = 1.0 / math.sqrt(ra2 + two_ar * c + dz * dz)
+            w3 = w * w * w
+            f0 += su * w
+            f1 += cu * w
+            f2 += w
+            f3 += (ap * cu * dz + aq * su) * w3
+            f4 += (p * (a * c - a_r) + ap * su * dz) * w3
+            f5 += ap * (a_r + r * c) * w3
+            k0 += wk * f0
             k1 += wk * f1
+            k2 += wk * f2
+            k3 += wk * f3
+            k4 += wk * f4
+            k5 += wk * f5
             if wg:
-                gs += wg * fs
-                gc += wg * fc
+                g0 += wg * f0
                 g1 += wg * f1
+                g2 += wg * f2
+                g3 += wg * f3
+                g4 += wg * f4
+                g5 += wg * f5
         h = abs(half)
-        return ((ks * half, kc * half, k1 * half),
-                (abs(ks - gs) * h, abs(kc - gc) * h, abs(k1 - g1) * h))
+        return ((k0 * half, k1 * half, k2 * half,
+                 k3 * half, k4 * half, k5 * half),
+                (abs(k0 - g0) * h, abs(k1 - g1) * h, abs(k2 - g2) * h,
+                 abs(k3 - g3) * h, abs(k4 - g4) * h, abs(k5 - g5) * h))
 
     return panel
 
@@ -308,90 +375,141 @@ def _helix_panel(r: float, phi: float, z: float, a: float, p: float,
 def helix_integrals(r: float, phi: float, z: float, a: float, p: float,
                     P: float, s0: float, s1: float, abs_tol: float,
                     rel_tol: float, max_sub: int):
-    """The three helix quadratures over arc length s in [s0, s1]:
+    """The helix quadratures over arc length s in [s0, s1], in the field
+    point's cylindrical frame, with u = P s - phi, dz = z - p s and
 
-        I_sin = Int sin(P s - phi) / R ds
-        I_cos = Int cos(P s - phi) / R ds
+        R^2   = r^2 + a^2 + z^2 + p^2 s^2 - 2 z p s - 2 a r cos u:
+
+        I_sin = Int sin(u) / R ds
+        I_cos = Int cos(u) / R ds
         I_one = Int 1 / R ds
-        R^2   = r^2 + a^2 + z^2 + p^2 s^2 - 2 z p s - 2 a r cos(P s - phi)
+        J_r   = Int (a P cos(u) dz + a p sin(u)) / R^3 ds
+        J_phi = Int (p (r - a cos u) + a P sin(u) dz) / R^3 ds
+        J_z   = Int a P (a - r cos u) / R^3 ds
 
-    in one adaptive pass that refines all three on shared nodes; each
-    meets the tolerance on its own.  err is the sum of their errors,
+    The J are the components of the Biot-Savart integral
+    Int t x (y - x) / R^3 ds, t = (-a P sin u, a P cos u, p) the unit
+    tangent, so no limit is taken on the axis r = 0.  One adaptive pass
+    refines all six on shared nodes; each meets the tolerance on its
+    own.  a_err is the sum of the errors of the I, b_err that of the J,
     evaluations the number of nodes.
 
-    Returns (I_sin, I_cos, I_one, err, evaluations, converged).
+    Returns (I_sin, I_cos, I_one, J_r, J_phi, J_z, a_err, b_err,
+    evaluations, converged).
     """
-    (vs, vc, vz), (es, ec, ez), n, ok = _adaptive_panels(
-        _helix_panel(r, phi, z, a, p, P), s0, s1, abs_tol, rel_tol, max_sub)
-    return vs, vc, vz, es + ec + ez, n, ok
+    (vs, vc, v1, jr, jp, jz), (es, ec, e1, er, ep, ez), n, ok = \
+        _adaptive_panels(_helix_panel(r, phi, z, a, p, P), s0, s1,
+                         abs_tol, rel_tol, max_sub)
+    return vs, vc, v1, jr, jp, jz, es + ec + e1, er + ep + ez, n, ok
 
 
 def _solenoid_panel(r: float, z: float, a: float, L0: float):
-    """Panel of F(u) cos u and F(u) for solenoid_integrals: one cosine,
-    square root and asinh pair per node."""
-    c0 = r * r + a * a
-    two_ar = 2.0 * a * r
+    """Panel of the five sheet integrands of solenoid_integrals: one
+    sine, three square roots and an asinh pair per node.
+
+    With s = sin(u / 2), cos u = 1 - 2 s^2 and c1 = (r - a)^2 + 4 a r s^2,
+    which adds like signs, so it is not 0 at any node off the sheet, even
+    at r = a just beyond an end, where the chord to u = 0 is tiny;
+    r - a cos u = (r - a) + 2 a s^2 and a - r cos u = (a - r) + 2 r s^2
+    cancel by no more than sqrt(c1)."""
+    a_r = a - r
+    ra2 = a_r * a_r
+    four_ar = 4.0 * a * r
     z1 = z - L0
+    zz, z1z1 = z * z, z1 * z1
+    span = L0 * (2.0 * z - L0)      # z^2 - z1^2
+    outside = z <= 0.0 or z1 >= 0.0
     wk0, wg0 = WGK[7], WG[3]
+
+    def node(u: float):
+        s2 = math.sin(0.5 * u) ** 2
+        cu = 1.0 - 2.0 * s2
+        c1 = ra2 + four_ar * s2
+        root = math.sqrt(c1)
+        f = math.asinh(z / root) - math.asinh(z1 / root)
+        ra = math.sqrt(c1 + zz)
+        rb = math.sqrt(c1 + z1z1)
+        ab = ra * rb
+        g = (span / (ab * (z * rb + z1 * ra)) if outside
+             else (z / ra - z1 / rb) / c1)
+        return (f * cu, f, span / (ab * (ra + rb)) * cu,
+                (2.0 * a * s2 - a_r) * g, (a_r + 2.0 * r * s2) * g)
 
     def panel(lo: float, hi: float):
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        cu = math.cos(mid)
-        root = math.sqrt(c0 - two_ar * cu)
-        f1 = math.asinh(z / root) - math.asinh(z1 / root)
-        fc = f1 * cu
-        kc, k1 = wk0 * fc, wk0 * f1
-        gc, g1 = wg0 * fc, wg0 * f1
+        f0, f1, f2, f3, f4 = node(mid)
+        k0, k1, k2, k3, k4 = (wk0 * f0, wk0 * f1, wk0 * f2, wk0 * f3,
+                              wk0 * f4)
+        g0, g1, g2, g3, g4 = (wg0 * f0, wg0 * f1, wg0 * f2, wg0 * f3,
+                              wg0 * f4)
         for x, wk, wg in _PAIRS:
             dx = half * x
-            cu = math.cos(mid - dx)
-            root = math.sqrt(c0 - two_ar * cu)
-            f = math.asinh(z / root) - math.asinh(z1 / root)
-            fc = f * cu
-            f1 = f
-            cu = math.cos(mid + dx)
-            root = math.sqrt(c0 - two_ar * cu)
-            f = math.asinh(z / root) - math.asinh(z1 / root)
-            fc += f * cu
-            f1 += f
-            kc += wk * fc
+            f0, f1, f2, f3, f4 = node(mid - dx)
+            e0, e1, e2, e3, e4 = node(mid + dx)
+            f0 += e0
+            f1 += e1
+            f2 += e2
+            f3 += e3
+            f4 += e4
+            k0 += wk * f0
             k1 += wk * f1
+            k2 += wk * f2
+            k3 += wk * f3
+            k4 += wk * f4
             if wg:
-                gc += wg * fc
+                g0 += wg * f0
                 g1 += wg * f1
+                g2 += wg * f2
+                g3 += wg * f3
+                g4 += wg * f4
         h = abs(half)
-        return ((kc * half, k1 * half),
-                (abs(kc - gc) * h, abs(k1 - g1) * h))
+        return ((k0 * half, k1 * half, k2 * half, k3 * half, k4 * half),
+                (abs(k0 - g0) * h, abs(k1 - g1) * h, abs(k2 - g2) * h,
+                 abs(k3 - g3) * h, abs(k4 - g4) * h))
 
     return panel
 
 
 def solenoid_integrals(r: float, z: float, a: float, L0: float,
                        abs_tol: float, rel_tol: float, max_sub: int):
-    """Azimuth quadratures for the cylinder sheet, inner integral closed.
+    """Azimuth quadratures for the cylinder sheet, inner integrals
+    closed.
 
-    With c1(u) = r^2 + a^2 - 2 a r cos u, the closed-form inner integral
-    over the axial coordinate is
+    With c1(u) = r^2 + a^2 - 2 a r cos u, A = sqrt(c1 + z^2) and
+    B = sqrt(c1 + (z - L0)^2), the axial integrals over the sheet
+    coordinate z' in [0, L0] of 1/R, 1/R^3 and (z - z')/R^3 are
 
-        F(u) = asinh(z / sqrt(c1)) - asinh((z - L0) / sqrt(c1)),
+        F(u) = asinh(z / sqrt(c1)) - asinh((z - L0) / sqrt(c1))
+        G(u) = (z / A - (z - L0) / B) / c1
+        H(u) = 1 / B - 1 / A = L0 (2 z - L0) / (A B (A + B)).
 
-    and the azimuthal components reduce (after shifting by the field
-    azimuth, allowed by periodicity) to
+    Beyond the ends (z <= 0 or z >= L0) G is taken as
+    L0 (2 z - L0) / (A B (z B + (z - L0) A)), which adds like signs, so
+    r = a there needs no limit.  After shifting by the field azimuth
+    (allowed by periodicity) the components reduce to
 
-        I_cos = Int_0^{2pi} F(u) cos u du   (even, computed on [0, pi])
+        I_cos = Int_0^{2pi} F(u) cos u du
         I_one = Int_0^{2pi} F(u) du
-        I_sin = 0 exactly (odd part of an even integrand).
+        J_r   = Int_0^{2pi} H(u) cos u du
+        J_phi = Int_0^{2pi} (r - a cos u) G(u) du
+        J_z   = Int_0^{2pi} (a - r cos u) G(u) du;
 
-    I_cos and I_one come from one adaptive pass on shared nodes, each
-    meeting the tolerance on its own; err is the sum of their errors.
+    the others vanish, their integrands being odd in u.  The J are the
+    Biot-Savart integral of the winding tangent W = P a phi_hat + p z_hat,
+    split into its azimuthal part (J_r, J_z) and its axial part (J_phi).
+    All five are even, so they come from one adaptive pass on [0, pi]
+    on shared nodes, doubled; each meets the tolerance on its own.
+    a_err is the sum of the errors of the I, b_err that of the J.
 
-    Returns (I_sin, I_cos, I_one, err, evaluations, converged).
+    Returns (I_cos, I_one, J_r, J_phi, J_z, a_err, b_err, evaluations,
+    converged).
     """
-    (vc, v1), (ec, e1), n, ok = _adaptive_panels(
+    (vc, v1, jr, jp, jz), (ec, e1, er, ep, ez), n, ok = _adaptive_panels(
         _solenoid_panel(r, z, a, L0), 0.0, math.pi, 0.5 * abs_tol, rel_tol,
         max_sub)
-    return 0.0, 2.0 * vc, 2.0 * v1, 2.0 * (ec + e1), n, ok
+    return (2.0 * vc, 2.0 * v1, 2.0 * jr, 2.0 * jp, 2.0 * jz,
+            2.0 * (ec + e1), 2.0 * (er + ep + ez), n, ok)
 
 
 def plate_green_sum(rho: float, z: float, zp: float, L: float, tol: float,

@@ -14,13 +14,17 @@ carries a status:
 
 Converged rows contain no NaN; refused cells in flagged rows are NaN,
 and a row whose stencil is refused writes every derivative column NaN.
-Derivatives (b, e, residual) are central differences of the summed
+b comes from the sources: each returns its own field with its
+potentials at the row point (the Biot-Savart integral, in closed form
+or on the potential's quadrature nodes), and the row sums them.
+e and the gauge residual are central differences of the summed
 potentials with step h = fd_step(point), so superposition holds
-row-wise to rounding.  b, e and the gauge residual share one stencil,
-evaluated as plain float tuples, each point once: the row point,
-+-h on each axis, and t +- dt when a timed row asks for e or the
-residual.  That is 1 source evaluation per row for [a], 7 for [a, b]
-or a static e, 9 for a timed [phi, a, e, residual] row.
+row-wise to rounding.  They share one stencil, evaluated as plain
+float tuples, each point once: the row point, +-h on each axis, and
+t +- dt when a timed row asks for e or the residual.  That is 1 source
+evaluation per row for [a] or [a, b], 7 for a static e, 9 for a timed
+[phi, a, e, residual] row.  A row within 3 h of a source's support
+writes no derivative column, b included.
 """
 
 from __future__ import annotations
@@ -48,9 +52,15 @@ _DERIVATIVE_OUTPUTS = ("b", "e", "residual")
 class SourcePart:
     """One scene source turned into evaluator callables.
 
-    evaluate(point, t) -> (a: Vec3, phi: float, err, ok: bool)
+    evaluate(point, t, want_b) -> (a: Vec3, phi: float, err, ok: bool,
+                                   b: Vec3)
     near(point, t, radius) -> bool   (within radius of the singular support)
     error(point, t, err) -> float    (where given)
+
+    b is the source's magnetic field.  The closed forms (polyline,
+    moving charge) form it only when want_b is true, and return zero
+    otherwise; the quadratures (loop, helix, sheet) form it on the
+    potential's nodes either way; the others have none.
 
     err is the error as a float, unless the part has an error(), which
     makes it from the err that evaluate returned.  That is for parts
@@ -83,10 +93,10 @@ def _build_part(s: dict, medium: MediumConstants,
     if kind == "loop":
         a, cur, cz = s["radius"], s["current"], s["center_z"]
 
-        def evaluate(y: Point3, t: float):
+        def evaluate(y: Point3, t: float, want_b: bool = False):
             res = magneto.loop_potential(a, cur, y, cfg, cz, medium)
             return (res.a, 0.0, res.diagnostics["a_phi_error"],
-                    res.diagnostics["converged"])
+                    res.diagnostics["converged"], res.b)
 
         def near(y: Point3, t: float, radius: float) -> bool:
             return math.hypot(y.r - a, y.z - cz) < radius
@@ -97,11 +107,11 @@ def _build_part(s: dict, medium: MediumConstants,
         a, p, length = s["radius"], s["pitch"], s["length"]
         cur, s0 = s["current"], s["sigma0"]
 
-        def evaluate(y: Point3, t: float):
+        def evaluate(y: Point3, t: float, want_b: bool = False):
             res = magneto.helix_potential(a, p, length, cur, y, cfg, s0,
                                           medium)
             return (res.a, 0.0, res.diagnostics["chart_error"],
-                    res.diagnostics["converged"])
+                    res.diagnostics["converged"], res.b)
 
         def near(y: Point3, t: float, radius: float) -> bool:
             return magneto.helix_distance(a, p, length, s0, y,
@@ -112,11 +122,11 @@ def _build_part(s: dict, medium: MediumConstants,
     if kind == "solenoid":
         a, p, length, k0 = s["radius"], s["pitch"], s["length"], s["kappa0"]
 
-        def evaluate(y: Point3, t: float):
+        def evaluate(y: Point3, t: float, want_b: bool = False):
             res = magneto.solenoid_potential(a, p, length, k0, y, cfg,
                                              medium)
             return (res.a, 0.0, res.diagnostics["chart_error"],
-                    res.diagnostics["converged"])
+                    res.diagnostics["converged"], res.b)
 
         def near(y: Point3, t: float, radius: float) -> bool:
             return cylinder_band_distance(a, 0.0, length, y) < radius
@@ -128,10 +138,10 @@ def _build_part(s: dict, medium: MediumConstants,
         src = sources.polyline(pts, s["current"], s["closed"])
         chain = src.params["vertices"]
 
-        def evaluate(y: Point3, t: float):
-            res = magneto.curve_potential(src, y, cfg, medium)
+        def evaluate(y: Point3, t: float, want_b: bool = False):
+            res = magneto.curve_potential(src, y, cfg, medium, want_b)
             return (res.a, 0.0, res.diagnostics["chart_error"],
-                    res.diagnostics["converged"])
+                    res.diagnostics["converged"], res.b or zero)
 
         def near(y: Point3, t: float, radius: float) -> bool:
             return any(segment_distance(y, p0, p1) < radius
@@ -142,9 +152,10 @@ def _build_part(s: dict, medium: MediumConstants,
     if kind == "plate_wire":
         z0, lam, gap = s["z0"], s["lambda"], s["gap"]
 
-        def evaluate(y: Point3, t: float):
+        def evaluate(y: Point3, t: float, want_b: bool = False):
             res = electro.plate_wire_potential(z0, lam, gap, y, medium)
-            return (zero, res.phi, res.diagnostics["rounding_error"], True)
+            return (zero, res.phi, res.diagnostics["rounding_error"], True,
+                    zero)
 
         def near(y: Point3, t: float, radius: float) -> bool:
             return math.hypot(y.x, y.z - z0) < radius
@@ -159,9 +170,11 @@ def _build_part(s: dict, medium: MediumConstants,
         src = (sources.uniform_point_charge(q, x0, v) if moving
                else sources.static_point_charge(q, x0))
 
-        def evaluate(y: Point3, t: float):
+        def evaluate(y: Point3, t: float, want_b: bool = False):
             res = retarded.lienard_wiechert(src, y, t, medium)
-            return (res.a, res.phi, res, True)
+            b = (retarded.present_b(src, y, t, medium) if want_b and moving
+                 else zero)
+            return (res.a, res.phi, res, True, b)
 
         def error(y: Point3, t: float, res) -> float:
             return retarded.rounding_bound(src, y, t, res, medium)[0]
@@ -176,9 +189,9 @@ def _build_part(s: dict, medium: MediumConstants,
         dip = sources.DipoleSource(Point3(*s["position"]),
                                    Vec3(*s["moment"]))
 
-        def evaluate(y: Point3, t: float):
+        def evaluate(y: Point3, t: float, want_b: bool = False):
             res = electro.dipole_potential(dip, y, medium)
-            return (zero, res.phi, 0.0, True)
+            return (zero, res.phi, 0.0, True, zero)
 
         def near(y: Point3, t: float, radius: float) -> bool:
             return (y - dip.location).norm() < radius
@@ -219,27 +232,33 @@ def compute_row(scene: Scene, parts: list[SourcePart],
     t = coords[3] if len(coords) > 3 else 0.0
     timed = any(p.time_dependent for p in parts) or scene.timed
     h = scene.fd_step(point.norm())
+    want_b = "b" in scene.outputs
     status = "ok"
 
-    def total(y: Point3, at: float):
-        ax = ay = az = phi = 0.0
+    def total(y: Point3, at: float, with_b: bool = False):
+        ax = ay = az = phi = bx = by = bz = 0.0
         errs = []
         ok = True
         for part in parts:
-            av, pv, ev, okv = part.evaluate(y, at)
+            av, pv, ev, okv, bv = part.evaluate(y, at, with_b)
             ax += av.x
             ay += av.y
             az += av.z
             phi += pv
+            if with_b:
+                bx += bv.x
+                by += bv.y
+                bz += bv.z
             errs.append(ev)
             ok = ok and okv
-        return (ax, ay, az, phi), errs, ok
+        return (ax, ay, az, phi), (bx, by, bz), errs, ok
 
-    # potentials at the row point
+    # potentials, and b when asked for, at the row point
     pot_val = (_NAN,) * 4
+    b_sum = (_NAN,) * 3
     err_val = _NAN
     try:
-        pot_val, errs, converged = total(point, t)
+        pot_val, b_sum, errs, converged = total(point, t, want_b)
         err_val = 0.0
         for part, ev in zip(parts, errs):
             err_val += part.error(point, t, ev) if part.error else ev
@@ -263,9 +282,13 @@ def compute_row(scene: Scene, parts: list[SourcePart],
     res_val = res_scale = _NAN
     if derivatives_ok:
         try:
-            b_val, e_val, res_val, res_scale = _derivatives(
-                lambda y, at: total(y, at)[0], point, t, h, medium, timed,
-                scene.outputs)
+            if want_b and not all(math.isfinite(v) for v in b_sum):
+                raise OnSupportError("b not finite at %r" % (point,))
+            if "e" in scene.outputs or "residual" in scene.outputs:
+                e_val, res_val, res_scale = _derivatives(
+                    lambda y, at: total(y, at)[0], point, t, h, medium,
+                    timed, scene.outputs)
+            b_val = b_sum
         except OnSupportError:
             status = "on_support"
         except OutOfDomainError:
@@ -294,24 +317,22 @@ def compute_row(scene: Scene, parts: list[SourcePart],
 
 def _derivatives(pot, point: Point3, t: float, h: float,
                  medium: MediumConstants, timed: bool, outputs) -> tuple:
-    """b, e, and the gauge residual div a + eps mu dphi/dt with its
-    scale, at one row point; the outputs not asked for are NaN.
+    """e, and the gauge residual div a + eps mu dphi/dt with its scale,
+    at one row point; the outputs not asked for are NaN.
 
     Central differences of pot(y, t) -> (a_x, a_y, a_z, phi), each
-    stencil point evaluated once: +-h on each axis, in the order b's
-    curl first reaches them (y, z, x) when b is asked for, else x, y,
-    z; then t +- dt for e or the residual of a timed row.  A potential
-    that is not finite where it is differenced raises OnSupportError.
-    The sums are those of hodge(d a), -d phi and -codifferential(a) in
-    exterior3, so the results match that route bit for bit, signed
-    zeros included: b_y, for one, is -((0 - d_z a_x) + d_x a_z).
+    stencil point evaluated once: +-h on the x, y and z axes, then
+    t +- dt for a timed row.  A potential that is not finite where it is
+    differenced raises OnSupportError.  The sums are those of -d phi
+    and -codifferential(a) in exterior3, so the results match that
+    route bit for bit, signed zeros included.
     """
     hi, lo = {}, {}
-    for axis in (1, 2, 0) if "b" in outputs else (0, 1, 2):
+    for axis in range(3):
         hi[axis] = pot(point.shifted(axis, h), t)
         lo[axis] = pot(point.shifted(axis, -h), t)
     dt = h / medium.c
-    if timed and ("e" in outputs or "residual" in outputs):
+    if timed:
         later, earlier = pot(point, t + dt), pot(point, t - dt)
 
     def d(i: int, axis: int) -> float:
@@ -322,12 +343,8 @@ def _derivatives(pot, point: Point3, t: float, h: float,
                                  "difference stencil at %r" % (point,))
         return (up - down) / (2.0 * h)
 
-    b = e = (_NAN,) * 3
+    e = (_NAN,) * 3
     res = scale = _NAN
-    if "b" in outputs:
-        b = ((0.0 - d(1, 2)) + d(2, 1),
-             -((0.0 - d(0, 2)) + d(2, 0)),
-             (0.0 - d(0, 1)) + d(1, 0))
     if "e" in outputs:
         e = tuple(-(0.0 + d(3, axis)) for axis in range(3))
         if timed:
@@ -341,7 +358,7 @@ def _derivatives(pot, point: Point3, t: float, h: float,
                     / (2.0 * dt))
         res = -(((0.0 - div[0]) - div[1]) - div[2]) + term
         scale = abs(div[0]) + abs(div[1]) + abs(div[2]) + abs(term)
-    return b, e, res, scale
+    return e, res, scale
 
 
 # ---------------------------------------------------------------------------

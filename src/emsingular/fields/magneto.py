@@ -1,13 +1,18 @@
-"""Static magnetic vector potentials and derived B / H fields.
+"""Static magnetic vector potentials, their B fields, and H.
 
 Specialized evaluators (loop, helix, solenoid sheet) reduce the layer
 integral to one-dimensional quadratures in the source chart and run
-them through the numerical core (`_core`).  The generic curve
-evaluator sums a polyline in closed form, one logarithm per straight
-segment, since a segment's Leray weight and direction are constant.
-Any other CurveSource takes the adaptive chart quadrature: slower, but
-it shares no code with the specialized evaluators, so tests use it as
-a cross-check.
+them through the numerical core (`_core`).  Each returns b with a: d
+acts on the kernel, so b = # d a is the layer integral of the
+differentiated kernel, the Biot-Savart integral of t x (y - x) / R^3,
+which the core integrates on the potential's own nodes.  The generic
+curve evaluator sums a polyline in closed form, one logarithm per
+straight segment for a and one Biot-Savart term for b, since a
+segment's Leray weight and direction are constant.  Any other
+CurveSource takes the adaptive chart quadrature for a alone: slower,
+but it shares no code with the specialized evaluators, so tests use it
+as a cross-check.  derive_b, the curl of a by the exterior3 stencil,
+stays as the independent route.
 
 All results are exterior to the source; evaluation on or numerically
 against the support raises OnSupportError.  The source geometry decides
@@ -46,15 +51,19 @@ def _support_floor(scale: float) -> float:
 def loop_potential(radius: float, current: float, y: Point3,
                    cfg: QuadConfig | None = None, center_z: float = 0.0,
                    medium: MediumConstants = VACUUM) -> PotentialResult:
-    """Vector potential of a circular loop about the z axis.
+    """Vector potential and field of a circular loop about the z axis.
 
-    By symmetry only the azimuthal component survives:
+    By symmetry only a_phi, b_r and b_z survive:
 
         a_phi(r, z) = (mu I radius / 4 pi)
                       * int_0^{2pi} cos(psi) dpsi / dist(psi)
+        b_r(r, z)   = (mu I radius / 4 pi)
+                      * int_0^{2pi} z cos(psi) dpsi / dist(psi)^3
+        b_z(r, z)   = (mu I radius / 4 pi)
+                      * int_0^{2pi} (radius - r cos psi) dpsi / dist(psi)^3
 
     with dist the chord from the field point to the loop point at
-    azimuth offset psi.
+    azimuth offset psi, z taken from the loop's plane.
     """
     if radius <= 0.0:
         raise InvalidGeometryError("loop radius must be positive")
@@ -64,22 +73,24 @@ def loop_potential(radius: float, current: float, y: Point3,
     d = math.hypot(r - a, z)
     if d < _support_floor(a):
         raise OnSupportError("field point lies on the loop (distance %g)" % d)
-    val, err, evals, ok = loop_phi_integral(
+    val, j_r, j_z, err, b_err, evals, ok = loop_phi_integral(
         r, z, a, cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions)
-    a_phi = medium.mu * current * a / FOUR_PI * val
-    vec = cyl_to_cart(0.0, a_phi, 0.0, y.phi)
+    pref = medium.mu * current * a / FOUR_PI
+    vec = cyl_to_cart(0.0, pref * val, 0.0, y.phi)
+    b = cyl_to_cart(pref * j_r, 0.0, pref * j_z, y.phi)
     return PotentialResult(y, vec, 0.0, {
-        "a_phi_error": abs(medium.mu * current * a / FOUR_PI) * err,
+        "a_phi_error": abs(pref) * err,
+        "b_error": abs(pref) * b_err,
         "evaluations": evals,
         "converged": bool(ok),
-    })
+    }, b)
 
 
 def helix_potential(radius: float, pitch: float, length: float,
                     current: float, y: Point3,
                     cfg: QuadConfig | None = None, sigma0: float = 0.0,
                     medium: MediumConstants = VACUUM) -> PotentialResult:
-    """Vector potential of a unit-speed helical wire.
+    """Vector potential and field of a unit-speed helical wire.
 
     The wire is (radius cos(P s), radius sin(P s), pitch s) for s in
     [sigma0, sigma0 + length], P = sqrt(1 - pitch^2)/radius.  In the
@@ -88,8 +99,11 @@ def helix_potential(radius: float, pitch: float, length: float,
         a_r   = -(mu I radius P / 4 pi) * int sin(P s - phi) / R ds
         a_phi = +(mu I radius P / 4 pi) * int cos(P s - phi) / R ds
         a_z   = +(mu I pitch / 4 pi)    * int ds / R
+        b     = +(mu I / 4 pi)          * int t x (y - x) / R^3 ds
 
-    with R the chordal distance from the field point to the wire point.
+    with R the chordal distance from the field point y to the wire
+    point x and t the unit tangent; helix_integrals gives the
+    components of b.
     """
     if not (0.0 < pitch < 1.0):
         raise InvalidGeometryError("pitch fraction must lie in (0, 1)")
@@ -100,36 +114,46 @@ def helix_potential(radius: float, pitch: float, length: float,
     big_p = math.sqrt(1.0 - p * p) / a
     floor = _support_floor(a)
     _refuse_on_support(helix_distance(a, p, length, sigma0, y, floor), floor)
-    i_sin, i_cos, i_one, err, evals, ok = helix_integrals(
-        y.r, y.phi, y.z, a, p, big_p, sigma0, sigma0 + length,
-        cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions)
+    i_sin, i_cos, i_one, j_r, j_phi, j_z, err, b_err, evals, ok = \
+        helix_integrals(y.r, y.phi, y.z, a, p, big_p, sigma0,
+                        sigma0 + length, cfg.abs_tol, cfg.rel_tol,
+                        cfg.max_subdivisions)
     pref = medium.mu * current / FOUR_PI
     a_r = -pref * a * big_p * i_sin
     a_phi = pref * a * big_p * i_cos
     a_z = pref * p * i_one
     vec = cyl_to_cart(a_r, a_phi, a_z, y.phi)
+    b = cyl_to_cart(pref * j_r, pref * j_phi, pref * j_z, y.phi)
     return PotentialResult(y, vec, 0.0, {
         "chart_error": abs(pref) * err,
+        "b_error": abs(pref) * b_err,
         "evaluations": evals,
         "converged": bool(ok),
-    })
+    }, b)
 
 
 def solenoid_potential(radius: float, pitch: float, length: float,
                        kappa0: float, y: Point3,
                        cfg: QuadConfig | None = None,
                        medium: MediumConstants = VACUUM) -> PotentialResult:
-    """Vector potential of the helical current sheet on a finite cylinder.
+    """Vector potential and field of the helical current sheet on a
+    finite cylinder.
 
-    The axial chart integral has a closed form (inverse hyperbolic
-    sines), leaving a single azimuthal quadrature.  The radial
-    component vanishes identically by the odd symmetry of sin(u) du.
+    The axial chart integrals have closed forms, leaving a single
+    azimuthal quadrature.  a_r and b's odd parts vanish identically by
+    the odd symmetry of sin(u) du.
 
         a_phi = (mu kappa0 radius^2 P / 4 pi) * int_0^{2pi} F(u) cos u du
         a_z   = (mu kappa0 radius pitch / 4 pi) * int_0^{2pi} F(u) du
+        b_r   = (mu kappa0 radius^2 P / 4 pi) * int_0^{2pi} H(u) cos u du
+        b_phi = (mu kappa0 radius pitch / 4 pi)
+                * int_0^{2pi} (r - radius cos u) G(u) du
+        b_z   = (mu kappa0 radius^2 P / 4 pi)
+                * int_0^{2pi} (radius - r cos u) G(u) du
 
     where F(u) = asinh(z / sqrt(c1)) - asinh((z - length) / sqrt(c1)),
-    c1 = r^2 + radius^2 - 2 r radius cos u.
+    c1 = r^2 + radius^2 - 2 r radius cos u, and G and H are the axial
+    integrals of 1/R^3 and (z - z')/R^3 (see solenoid_integrals).
     """
     if not (0.0 <= pitch < 1.0):
         raise InvalidGeometryError("pitch fraction must lie in [0, 1)")
@@ -142,29 +166,36 @@ def solenoid_potential(radius: float, pitch: float, length: float,
     d = cylinder_band_distance(a, 0.0, length, y)
     if d < _support_floor(a):
         raise OnSupportError("field point lies on the sheet (distance %g)" % d)
-    _, i_cos, i_one, err, evals, ok = solenoid_integrals(
-        r, z, a, length, cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions)
+    i_cos, i_one, j_r, j_phi, j_z, err, b_err, evals, ok = \
+        solenoid_integrals(r, z, a, length, cfg.abs_tol, cfg.rel_tol,
+                           cfg.max_subdivisions)
     pref = medium.mu * kappa0 * a / FOUR_PI
     a_phi = pref * a * big_p * i_cos
     a_z = pref * p * i_one
     vec = cyl_to_cart(0.0, a_phi, a_z, y.phi)
+    b = cyl_to_cart(pref * a * big_p * j_r, pref * p * j_phi,
+                    pref * a * big_p * j_z, y.phi)
     return PotentialResult(y, vec, 0.0, {
         "chart_error": abs(pref) * err,
+        "b_error": abs(pref) * b_err,
         "evaluations": evals,
         "converged": bool(ok),
-    })
+    }, b)
 
 
 def curve_potential(src: CurveSource, y: Point3,
                     cfg: QuadConfig | None = None,
-                    medium: MediumConstants = VACUUM) -> PotentialResult:
+                    medium: MediumConstants = VACUUM,
+                    want_b: bool = False) -> PotentialResult:
     """Vector potential of a generic CurveSource.
 
     Integrates mu * i0 * kernel(y, x(s)) * W(s) * omega_f(d/ds) over the
     chart.  A polyline takes the closed form of each straight segment
     (_segment_integral), and its distance to y is exact over those
-    segments.  Any other curve takes the adaptive chart quadrature, and
-    its distance is scanned (min_distance_to_curve).
+    segments; with want_b it also sums each segment's Biot-Savart field
+    (_segment_field).  Any other curve takes the adaptive chart
+    quadrature for a alone (b is None), and its distance is scanned
+    (min_distance_to_curve).
     """
     cfg = cfg or QuadConfig()
     s0, s1 = src.chart
@@ -176,7 +207,7 @@ def curve_potential(src: CurveSource, y: Point3,
         segments = list(zip(chain[:-1], chain[1:]))
         _refuse_on_support(min(segment_distance(y, p0, p1)
                                for p0, p1 in segments), floor)
-        return _polyline_potential(segments, src.i0, y, medium)
+        return _polyline_potential(segments, src.i0, y, medium, want_b)
     _refuse_on_support(min_distance_to_curve(src.point, s0, s1, y), floor)
     comps = [0.0, 0.0, 0.0]
     err = 0.0
@@ -203,11 +234,13 @@ def curve_potential(src: CurveSource, y: Point3,
 
 
 def _polyline_potential(segments: list[tuple[Point3, Point3]], i0: float,
-                        y: Point3, medium: MediumConstants) -> PotentialResult:
+                        y: Point3, medium: MediumConstants,
+                        want_b: bool) -> PotentialResult:
     """(mu i0 / 4 pi) * sum_k v_k u_k over the straight segments, with
-    v_k = int ds / |y - x(s)| along segment k and u_k its direction.
+    v_k = int ds / |y - x(s)| along segment k and u_k its direction;
+    with want_b also b = (mu i0 / 4 pi) * sum_k of _segment_field.
 
-    chart_error bounds the rounding of every component:
+    chart_error bounds the rounding of every component of a:
     |mu i0 / 4 pi| * SEGMENT_ERROR_C * EPS * sum_k (1 + |v_k| + kappa_k).
     """
     xs, ys, zs = [], [], []
@@ -221,11 +254,15 @@ def _polyline_potential(segments: list[tuple[Point3, Point3]], i0: float,
     pref = medium.mu * i0 / FOUR_PI
     vec = Vec3(pref * math.fsum(xs), pref * math.fsum(ys),
                pref * math.fsum(zs))
+    b = None
+    if want_b:
+        fields = [_segment_field(y, p0, p1) for p0, p1 in segments]
+        b = Vec3(*(pref * math.fsum(f[i] for f in fields) for i in range(3)))
     return PotentialResult(y, vec, 0.0, {
         "chart_error": abs(pref) * SEGMENT_ERROR_C * EPS * size,
         "evaluations": 0,
         "converged": True,
-    })
+    }, b)
 
 
 def _segment_integral(y: Point3, p0: Point3, p1: Point3
@@ -268,6 +305,39 @@ def _segment_integral(y: Point3, p0: Point3, p1: Point3
     d = math.hypot(ay * uz - az * uy, az * ux - ax * uz, ax * uy - ay * ux)
     return (math.asinh(-l1 / d) + math.asinh(l0 / d), (ux, uy, uz),
             near / d)
+
+
+def _segment_field(y: Point3, p0: Point3, p1: Point3
+                   ) -> tuple[float, float, float]:
+    """int_0^L u x (y - x(s)) / |y - x(s)|^3 ds for the straight segment
+    from p0 to p1, x(s) = p0 + s u: the Biot-Savart field of a unit
+    current, without mu / 4 pi.
+
+    u x (y - x(s)) = u x (y - p) for either end p, taken from the
+    nearer one, and int ds / R^3 = K.  With l0, l1, R0, R1 and d as in
+    _segment_integral, K = (l0 / R0 - l1 / R1) / d^2 between the ends,
+    a sum of like signs.  Beyond them l0 and l1 share a sign, and
+    K = L (l0 + l1) / (R0 R1 (l0 R1 + l1 R0)), which adds like signs
+    and does not divide by d: on the line's extension u x (y - p) is 0,
+    and so is the field.
+    """
+    dx, dy, dz = p1.x - p0.x, p1.y - p0.y, p1.z - p0.z
+    length = math.hypot(dx, dy, dz)
+    ux, uy, uz = dx / length, dy / length, dz / length
+    ax, ay, az = y.x - p0.x, y.y - p0.y, y.z - p0.z
+    bx, by, bz = y.x - p1.x, y.y - p1.y, y.z - p1.z
+    r0 = math.hypot(ax, ay, az)
+    r1 = math.hypot(bx, by, bz)
+    l0 = ax * ux + ay * uy + az * uz
+    l1 = bx * ux + by * uy + bz * uz
+    if r1 < r0:
+        ax, ay, az = bx, by, bz
+    cx, cy, cz = uy * az - uz * ay, uz * ax - ux * az, ux * ay - uy * ax
+    if l0 <= 0.0 or l1 >= 0.0:
+        k = length * (l0 + l1) / (r0 * r1 * (l0 * r1 + l1 * r0))
+    else:
+        k = (l0 / r0 - l1 / r1) / (cx * cx + cy * cy + cz * cz)
+    return cx * k, cy * k, cz * k
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,10 @@ every timed row, so both are written out in floats, with the operations
 of the Point3/Vec3 expressions they replaced in the same order: the
 same bits, without the objects.  lienard_wiechert measures the
 separation y - x(t') once and keeps the free kernel's coincidence floor.
+
+present_b gives the magnetic field of the uniformly moving charge from
+its present position (Heaviside's field; Jackson section 11.10), the
+curl of a = mu q v / (4 pi D), with no emission point formed.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from __future__ import annotations
 import math
 
 from .. import exterior3, kernels
-from ..errors import CoincidentPointsError, SuperluminalError
+from ..errors import (CoincidentPointsError, OutOfDomainError,
+                      SuperluminalError)
 from ..geometry import Point3, Vec3, norm3
 from ..sources import PointSource
 from .base import PotentialResult
@@ -45,7 +50,9 @@ def solve_retarded_time(src: PointSource, y: Point3, t: float,
     positive root of k tau^2 - 2 (w.v) tau - |w|^2 = 0.  Each branch
     below adds like signs, so neither cancels.  Where (w.v)^2 + k |w|^2
     overflows (|w| beyond ~1e146 m), the root is taken for w scaled by
-    a power of two, which is exact, and the delay scaled back."""
+    a power of two, which is exact, and the delay scaled back.  Where
+    w itself overflows, no float holds the separation, and the point
+    is refused with OutOfDomainError."""
     x0, v = src.x0, src.v
     vx, vy, vz = v.x, v.y, v.z
     vv = vx * vx + vy * vy + vz * vz
@@ -62,9 +69,8 @@ def solve_retarded_time(src: PointSource, y: Point3, t: float,
     wv = wx * vx + wy * vy + wz * vz
     disc = wv * wv + k * w2
     scale = 1.0
-    if disc == math.inf:
-        scale = math.ldexp(
-            1.0, -math.frexp(max(abs(wx), abs(wy), abs(wz)))[1])
+    if not disc < math.inf:
+        scale = _unit_scale(wx, wy, wz, y)
         wx, wy, wz = wx * scale, wy * scale, wz * scale
         w2 = wx * wx + wy * wy + wz * wz
         wv = wx * vx + wy * vy + wz * vz
@@ -72,6 +78,48 @@ def solve_retarded_time(src: PointSource, y: Point3, t: float,
     root = math.sqrt(disc)
     tau = (wv + root) / k if wv >= 0.0 else w2 / (root - wv)
     return t - tau / scale
+
+
+def _unit_scale(wx: float, wy: float, wz: float, y: Point3) -> float:
+    """The power of two that brings the largest |w_i| into [0.5, 1);
+    OutOfDomainError where a component of w is not finite."""
+    big = max(abs(wx), abs(wy), abs(wz))
+    if not big < math.inf:
+        raise OutOfDomainError(
+            "separation from the charge overflows at %r" % (y,))
+    return math.ldexp(1.0, -math.frexp(big)[1])
+
+
+def present_b(src: PointSource, y: Point3, t: float,
+              medium: MediumConstants = VACUUM) -> Vec3:
+    """Magnetic field of the uniformly moving charge at (y, t).
+
+    With w = y - x(t) from the present position, k = c^2 - v.v and
+    D = sqrt((w.v)^2 + k |w|^2) / c,
+
+        b = mu q k (v x w) / (4 pi c^2 D^3),
+
+    the curl of a = mu q v / (4 pi D) (Heaviside; Jackson section
+    11.10).  w is scaled by a power of two into [0.5, 1) before D^3 is
+    formed, so neither v x w nor D^3 overflows, and the scale is
+    applied last: b = s^2 (v x w_s) / D_s^3 times the constants, for
+    w_s = s w and D_s = s D.
+    """
+    c = medium.c
+    x0, v = src.x0, src.v
+    vx, vy, vz = v.x, v.y, v.z
+    wx = y.x - (x0.x + t * vx)
+    wy = y.y - (x0.y + t * vy)
+    wz = y.z - (x0.z + t * vz)
+    s = _unit_scale(wx, wy, wz, y)
+    wx, wy, wz = wx * s, wy * s, wz * s
+    k = c * c - (vx * vx + vy * vy + vz * vz)
+    wv = wx * vx + wy * vy + wz * vz
+    d = math.sqrt(wv * wv + k * (wx * wx + wy * wy + wz * wz)) / c
+    f = medium.mu * src.q * k / (4.0 * math.pi * c * c * d * d * d)
+    return Vec3((vy * wz - vz * wy) * f * s * s,
+                (vz * wx - vx * wz) * f * s * s,
+                (vx * wy - vy * wx) * f * s * s)
 
 
 def lienard_wiechert(src: PointSource, y: Point3, t: float,

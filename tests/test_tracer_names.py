@@ -95,8 +95,9 @@ def test_traced_names_count_every_source_evaluation(tmp_path, monkeypatch):
 
 
 def test_traced_names_count_every_magnetic_evaluation(tmp_path, monkeypatch):
-    # each ok [a, b] row evaluates every source at its 7 stencil points,
-    # and each loop, helix or sheet evaluation runs its _core kernel once
+    # each ok [a, b] row evaluates every source once, at the row point,
+    # since each source gives its own b, and each loop, helix or sheet
+    # evaluation runs its _core kernel once
     calls, statuses = counted_run(tmp_path, monkeypatch, """\
     schema: 1
     sources:
@@ -128,7 +129,7 @@ def test_traced_names_count_every_magnetic_evaluation(tmp_path, monkeypatch):
     for name in ("loop_potential", "helix_potential", "solenoid_potential",
                  "curve_potential", "loop_phi_integral", "helix_integrals",
                  "solenoid_integrals"):
-        assert calls[prefix + name] == 7 * 4, name
+        assert calls[prefix + name] == 4, name
     assert calls["emsingular.fieldmap.compute_row"] == 4
     for name in ("emsingular.cli.load_scene",
                  "emsingular.fieldmap.build_parts",
@@ -140,9 +141,9 @@ def test_traced_names_count_every_magnetic_evaluation(tmp_path, monkeypatch):
 def test_helix_scan_runs_only_for_the_near_guard(tmp_path, monkeypatch, x,
                                                  scans):
     # 2 mm from the helix's band, within 3 h = 3 mm of it, the guard
-    # that refuses derivatives scans the wire once; the stencil's
-    # potentials stay far outside the on-support floor, so they never
-    # scan, and a row far from the band does not scan at all
+    # that refuses derivatives scans the wire once; the row's one
+    # evaluation stays far outside the on-support floor, so it never
+    # scans, and a row far from the band does not scan at all
     calls, statuses = counted_run(tmp_path, monkeypatch, """\
     schema: 1
     sources:
@@ -158,5 +159,5 @@ def test_helix_scan_runs_only_for_the_near_guard(tmp_path, monkeypatch, x,
     outputs: [a, b]
     """ % x)
     assert statuses == ["ok"]
-    assert calls["emsingular.fields.magneto.helix_potential"] == 7
+    assert calls["emsingular.fields.magneto.helix_potential"] == 1
     assert calls["emsingular.fields.magneto.min_distance_to_curve"] == scans
