@@ -60,14 +60,16 @@ class SourcePart:
     b is the source's magnetic field.  The closed forms (polyline,
     moving charge) form it only when want_b is true, and return zero
     otherwise; the quadratures (loop, helix, sheet) form it on the
-    potential's nodes either way; the others have none.
+    potential's nodes either way; the others have none.  A point
+    charge's phi, a and b all come from one call of
+    retarded.lienard_wiechert, from the charge's present position.
 
     err is the error as a float, unless the part has an error(), which
     makes it from the err that evaluate returned.  That is for parts
-    whose error costs more than their potentials (point charges):
-    compute_row calls it at the row point only, since stencil points
-    write no error.  A point charge's error bounds phi; that of its a
-    is smaller by |v| / c^2.
+    whose error costs more than their potentials (point charges, whose
+    err is their PotentialResult): compute_row calls it at the row
+    point only, since stencil points write no error.  A point charge's
+    error bounds phi; that of its a is smaller by |v| / c^2.
     """
 
     def __init__(self, kind: str, evaluate, near, time_dependent=False,
@@ -171,10 +173,9 @@ def _build_part(s: dict, medium: MediumConstants,
                else sources.static_point_charge(q, x0))
 
         def evaluate(y: Point3, t: float, want_b: bool = False):
-            res = retarded.lienard_wiechert(src, y, t, medium)
-            b = (retarded.present_b(src, y, t, medium) if want_b and moving
-                 else zero)
-            return (res.a, res.phi, res, True, b)
+            res = retarded.lienard_wiechert(src, y, t, medium,
+                                            want_b and moving)
+            return (res.a, res.phi, res, True, res.b or zero)
 
         def error(y: Point3, t: float, res) -> float:
             return retarded.rounding_bound(src, y, t, res, medium)[0]

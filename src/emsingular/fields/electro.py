@@ -1,5 +1,6 @@
-"""Static electric potentials: point charges, dipoles, and the guided
-line charge between grounded plates.
+"""Static electric potentials: dipoles and the guided line charge
+between grounded plates.  Point charges, static or moving, are
+fields.retarded's.
 
 The line charge's image series is summed in closed form, one logarithm
 for every field point, with a rounding-level error bound."""
@@ -18,13 +19,6 @@ from .base import PotentialResult
 from .medium import VACUUM, MediumConstants
 
 EPS = 2.0 ** -52
-
-
-def point_charge_potential(q: float, at: Point3, y: Point3,
-                           medium: MediumConstants = VACUUM) -> PotentialResult:
-    """Coulomb potential q / (4 pi eps d)."""
-    phi = (q / medium.eps) * kernels.free_kernel(y, at)
-    return PotentialResult(y, Vec3(0.0, 0.0, 0.0), phi)
 
 
 def dipole_potential(dip: DipoleSource, y: Point3,

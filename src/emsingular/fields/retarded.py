@@ -1,29 +1,34 @@
-"""Retarded potentials of a moving point charge.
+"""Retarded potentials of a uniformly moving point charge.
 
-The emission-time equation  t' + |y - x(t')| / c = t  has exactly one
-root when the trajectory stays subluminal, because the mismatch
-g(t') = t - t' - |y - x(t')|/c is strictly decreasing (its derivative
-is n.v/c - 1 < 0).  On the straight trajectory x(t) = x0 + t v the
-equation is a quadratic in the delay t - t' (Jackson, Classical
-Electrodynamics, 3rd ed., section 14.1), solved in closed form.
+On the straight trajectory x(t) = x0 + t v with |v| < c, the retarded
+potentials have a closed form in the charge's *present* position
+(Heaviside-Feynman form; Jackson, Classical Electrodynamics, 3rd ed.,
+section 14.1).  With w = y - x(t), k = c^2 - v.v and
+D = sqrt((w.v)^2 + k |w|^2) / c,
 
-Potentials follow the usual retarded form: the static Coulomb/vector
-factors evaluated at the emission point, amplified by the Doppler
-factor 1 / (1 - n.v/c), where n points from the emission point toward
-the field point.  An approaching charge (n.v > 0) is amplified,
-a receding one attenuated.  The potentials are not exact: positions
-far from the origin round, and the Doppler factor amplifies that;
-rounding_bound gives a first-order bound on their rounding.
+    phi = q / (4 pi eps D),   a = mu q v / (4 pi D),
 
-solve_retarded_time and lienard_wiechert run at every stencil point of
-every timed row, so both are written out in floats, with the operations
-of the Point3/Vec3 expressions they replaced in the same order: the
-same bits, without the objects.  lienard_wiechert measures the
-separation y - x(t') once and keeps the free kernel's coincidence floor.
+and the curl of a is Heaviside's field mu q k (v x w) / (4 pi c^2 D^3)
+(Jackson section 11.10).  lienard_wiechert forms all three from the
+one separation w, in plain floats, since it runs at every stencil
+point of every timed row; rounding_bound bounds the rounding of the
+potentials.  Nothing in it is divided by 1 - n.v/c, so it stays finite
+up to the last float below c.
 
-present_b gives the magnetic field of the uniformly moving charge from
-its present position (Heaviside's field; Jackson section 11.10), the
-curl of a = mu q v / (4 pi D), with no emission point formed.
+The emission time is the verification route.  solve_retarded_time
+solves t' + |y - x(t')| / c = t, which has exactly one root when the
+trajectory stays subluminal, because g(t') = t - t' - |y - x(t')| / c
+is strictly decreasing (its derivative is n.v/c - 1 < 0).  On the
+straight trajectory the equation is a quadratic in the delay t - t',
+solved in closed form.  From the emission point, the textbook form
+
+    phi = q / (4 pi eps r (1 - n.v/c)),   a = mu q v / (4 pi r (1 - n.v/c)),
+
+with r = |y - x(t')| and n the unit vector from the emission point
+toward the field point, gives the same potentials by an independent
+derivation, since D = r (1 - n.v/c).  1 / (1 - n.v/c) is the Doppler
+factor: an approaching charge (n.v > 0) is amplified, a receding one
+attenuated.  selfcheck compares the two routes.
 """
 
 from __future__ import annotations
@@ -49,10 +54,27 @@ def solve_retarded_time(src: PointSource, y: Point3, t: float,
     With w = y - x(t) and k = c^2 - v.v the delay tau = t - t' is the
     positive root of k tau^2 - 2 (w.v) tau - |w|^2 = 0.  Each branch
     below adds like signs, so neither cancels.  Where (w.v)^2 + k |w|^2
-    overflows (|w| beyond ~1e146 m), the root is taken for w scaled by
-    a power of two, which is exact, and the delay scaled back.  Where
-    w itself overflows, no float holds the separation, and the point
-    is refused with OutOfDomainError."""
+    overflows, the root is taken for w scaled by s (see _separation)
+    and the delay scaled back."""
+    _, _, _, _, _, _, s, k, wv, w2, disc = _separation(src, y, t, c)
+    if w2 == 0.0:
+        return t     # y is the present position: zero delay
+    root = math.sqrt(disc)
+    tau = (wv + root) / k if wv >= 0.0 else w2 / (root - wv)
+    return t - tau / s
+
+
+def _separation(src: PointSource, y: Point3, t: float, c: float,
+                scale: bool = False) -> tuple:
+    """(p_x, p_y, p_z, w_x, w_y, w_z, s, k, w.v, |w|^2, disc): the
+    present position p = x0 + t v, the separation w = y - p scaled by
+    s, k = c^2 - v.v and disc = (w.v)^2 + k |w|^2 of the scaled w.
+
+    s is 1, or, where scale is set or disc overflows (|w| beyond
+    ~1e146 m), the power of two that brings the largest |w_i| into
+    [0.5, 1), which scales exactly.  SuperluminalError where |v| >= c;
+    OutOfDomainError where w is not finite, since no float holds the
+    separation."""
     x0, v = src.x0, src.v
     vx, vy, vz = v.x, v.y, v.z
     vv = vx * vx + vy * vy + vz * vz
@@ -60,105 +82,63 @@ def solve_retarded_time(src: PointSource, y: Point3, t: float,
         raise SuperluminalError(
             "trajectory speed %g is not below c = %g" % (math.sqrt(vv), c))
     k = c * c - vv
-    wx = y.x - (x0.x + t * vx)
-    wy = y.y - (x0.y + t * vy)
-    wz = y.z - (x0.z + t * vz)
+    px, py, pz = x0.x + t * vx, x0.y + t * vy, x0.z + t * vz
+    wx, wy, wz = y.x - px, y.y - py, y.z - pz
     w2 = wx * wx + wy * wy + wz * wz
-    if w2 == 0.0:
-        return t     # y is the present position: zero delay
     wv = wx * vx + wy * vy + wz * vz
     disc = wv * wv + k * w2
-    scale = 1.0
-    if not disc < math.inf:
-        scale = _unit_scale(wx, wy, wz, y)
-        wx, wy, wz = wx * scale, wy * scale, wz * scale
+    s = 1.0
+    if scale or not disc < math.inf:
+        big = max(abs(wx), abs(wy), abs(wz))
+        if not big < math.inf:
+            raise OutOfDomainError(
+                "separation from the charge overflows at %r" % (y,))
+        s = math.ldexp(1.0, -math.frexp(big)[1])
+        wx, wy, wz = wx * s, wy * s, wz * s
         w2 = wx * wx + wy * wy + wz * wz
         wv = wx * vx + wy * vy + wz * vz
         disc = wv * wv + k * w2
-    root = math.sqrt(disc)
-    tau = (wv + root) / k if wv >= 0.0 else w2 / (root - wv)
-    return t - tau / scale
-
-
-def _unit_scale(wx: float, wy: float, wz: float, y: Point3) -> float:
-    """The power of two that brings the largest |w_i| into [0.5, 1);
-    OutOfDomainError where a component of w is not finite."""
-    big = max(abs(wx), abs(wy), abs(wz))
-    if not big < math.inf:
-        raise OutOfDomainError(
-            "separation from the charge overflows at %r" % (y,))
-    return math.ldexp(1.0, -math.frexp(big)[1])
-
-
-def present_b(src: PointSource, y: Point3, t: float,
-              medium: MediumConstants = VACUUM) -> Vec3:
-    """Magnetic field of the uniformly moving charge at (y, t).
-
-    With w = y - x(t) from the present position, k = c^2 - v.v and
-    D = sqrt((w.v)^2 + k |w|^2) / c,
-
-        b = mu q k (v x w) / (4 pi c^2 D^3),
-
-    the curl of a = mu q v / (4 pi D) (Heaviside; Jackson section
-    11.10).  w is scaled by a power of two into [0.5, 1) before D^3 is
-    formed, so neither v x w nor D^3 overflows, and the scale is
-    applied last: b = s^2 (v x w_s) / D_s^3 times the constants, for
-    w_s = s w and D_s = s D.
-    """
-    c = medium.c
-    x0, v = src.x0, src.v
-    vx, vy, vz = v.x, v.y, v.z
-    wx = y.x - (x0.x + t * vx)
-    wy = y.y - (x0.y + t * vy)
-    wz = y.z - (x0.z + t * vz)
-    s = _unit_scale(wx, wy, wz, y)
-    wx, wy, wz = wx * s, wy * s, wz * s
-    k = c * c - (vx * vx + vy * vy + vz * vz)
-    wv = wx * vx + wy * vy + wz * vz
-    d = math.sqrt(wv * wv + k * (wx * wx + wy * wy + wz * wz)) / c
-    f = medium.mu * src.q * k / (4.0 * math.pi * c * c * d * d * d)
-    return Vec3((vy * wz - vz * wy) * f * s * s,
-                (vz * wx - vx * wz) * f * s * s,
-                (vx * wy - vy * wx) * f * s * s)
+    return px, py, pz, wx, wy, wz, s, k, wv, w2, disc
 
 
 def lienard_wiechert(src: PointSource, y: Point3, t: float,
-                     medium: MediumConstants = VACUUM) -> PotentialResult:
-    """Scalar and vector potentials of the moving charge at (y, t).
+                     medium: MediumConstants = VACUUM,
+                     want_b: bool = False) -> PotentialResult:
+    """Potentials of the moving charge at (y, t), and its magnetic field
+    as res.b when want_b is set (else res.b is None).
 
-        phi = (q / eps) * kernel(y, x_ret) * doppler
-        a   = mu * q * kernel(y, x_ret) * doppler * v
+    From w = y - x(t), k = c^2 - v.v and D = sqrt((w.v)^2 + k |w|^2) / c,
 
-    with x_ret = x(t'), r = |y - x_ret|, n = (y - x_ret) / r, the
-    kernel 1 / (4 pi r) and doppler = 1 / (1 - n.v/c), all from the one
-    r.  Its diagnostics hold t_ret, doppler, r_ret and n, from which
-    rounding_bound bounds the rounding of phi and a, on request.
+        phi = q / (4 pi eps D),   a = mu q v / (4 pi D),
+        b   = mu q k (v x w) / (4 pi c^2 D^3).
+
+    w is scaled by s (see _separation), always for b, and s is applied
+    last: 1 / D = s / D_s and b = s^2 (v x w_s) / D_s^3 times the
+    constants, for w_s = s w and D_s = s D, so neither D, v x w nor
+    D^3 overflows.  A field point at the present position, or within
+    the free kernel's coincidence floor of it, is refused with
+    CoincidentPointsError.
     """
     c = medium.c
-    t_ret = solve_retarded_time(src, y, t, c)
-    x0, v = src.x0, src.v
-    vx, vy, vz = v.x, v.y, v.z
-    xx = x0.x + t_ret * vx
-    xy = x0.y + t_ret * vy
-    xz = x0.z + t_ret * vz
-    sx, sy, sz = y.x - xx, y.y - xy, y.z - xz
-    r = norm3(sx, sy, sz)
-    if r == 0.0:
+    px, py, pz, wx, wy, wz, s, k, wv, w2, disc = _separation(
+        src, y, t, c, want_b)
+    if w2 == 0.0:
         raise CoincidentPointsError(
             "field point coincides with the emission point")
-    nx, ny, nz = sx / r, sy / r, sz / r
-    doppler = 1.0 / (1.0 - (nx * vx + ny * vy + nz * vz) / c)
-    if r < kernels.norm_floor(y.norm(), norm3(xx, xy, xz)):
-        raise kernels.coincident(y, Point3(xx, xy, xz))
-    k = 1.0 / (4.0 * math.pi * r)
-    phi = (src.q / medium.eps) * k * doppler
-    s = medium.mu * src.q * k * doppler
-    return PotentialResult(y, Vec3(vx * s, vy * s, vz * s), phi, {
-        "t_ret": t_ret,
-        "doppler": doppler,
-        "r_ret": r,
-        "n": Vec3(nx, ny, nz),
-    })
+    if math.sqrt(w2) / s < kernels.norm_floor(y.norm(), norm3(px, py, pz)):
+        raise kernels.coincident(y, Point3(px, py, pz))
+    v = src.v
+    root = math.sqrt(disc)                      # c D_s
+    f = c * s / (4.0 * math.pi * root)          # 1 / (4 pi D)
+    m = medium.mu * src.q * f
+    b = None
+    if want_b:
+        g = medium.mu * src.q * k * c / (4.0 * math.pi * root * root * root)
+        b = Vec3((v.y * wz - v.z * wy) * g * s * s,
+                 (v.z * wx - v.x * wz) * g * s * s,
+                 (v.x * wy - v.y * wx) * g * s * s)
+    return PotentialResult(y, Vec3(v.x * m, v.y * m, v.z * m),
+                           (src.q / medium.eps) * f, b=b)
 
 
 def rounding_bound(src: PointSource, y: Point3, t: float,
@@ -167,57 +147,64 @@ def rounding_bound(src: PointSource, y: Point3, t: float,
     """(bound on the error of res.phi, bound on the error of each
     component of res.a), for res = lienard_wiechert(src, y, t, medium).
 
-    Both potentials are proportional to 1 / D, with D = r - sep.v / c,
-    sep = y - x(t') and r = |sep|, so their relative error is dD / D
-    plus the rounding of forming them.  Let g = n - v / c, the gradient
-    of D in sep.  Then dD = g . dsep, and sep is off for three reasons:
+    Both potentials are proportional to 1 / D.  Let W = y - x0 - t v
+    exactly, w the separation as formed (scaled by s, exactly), and
+    D(x) = sqrt((x.v)^2 + k |x|^2) / c, a norm in x.  With u = EPS / 2,
+    the computed 1 / D is off for three reasons.
 
-    * w = y - (x0 + t v), from which the delay is solved, is off by dw,
-      taken exactly from its three roundings (_w_rounding); the delay
-      tau = t - t' moves by n.dw / (c - n.v) (differentiate
-      c tau = |w + tau v|), which moves sep by v times that.  dw is
-      counted twice, which covers the terms beyond first order.
-    * the delay rounds in the root: k = c^2 - v.v is off by ~u c^2,
-      which moves tau by u r / (2 D) of itself, so by u doppler / 2;
-      with the roundings of w.v, |w|^2 and the root (|w| <= 2 r) tau is
-      within 26 u doppler of itself.  t' = t - tau rounds by u |t'|.
-      Each moves sep along v, so dD = (g.v) dt' for each.
-    * forming x0 + t' v and y - x_ret rounds by u (|t'| |v| + |x_ret|)
-      and u r, in any direction; |x_ret| <= |y| + r.
+    * w is off W by dw, taken exactly from its three roundings
+      (_w_rounding).  As D is a norm, |D(w) - D(W)| <= D(dw), which
+      is rho times the D formed.
+    * disc = (w.v)^2 + k |w|^2 is off its exact value by at most
+      eta disc.  w.v, a sum of three products, is within 3u |w| |v|,
+      which e = 4u |w| |v| covers, |w|^2 within 3u of itself, and
+      k = c*c - v.v within
+      dk = u (c^2 + 3 v.v + k) <= 2u (c^2 + 2 v.v).  The squaring, the
+      product and the sum add 5u disc at most, so
 
-    With u = EPS / 2 and D = r / doppler:
+          eta disc <= 2 |w.v| e + 3 e^2 + dk |w|^2 + 5u disc.
 
-        |dD| <= |g.v| (2 doppler |dw| / c + EPS |t'| + 13 EPS doppler tau)
-                + |g| EPS (|t'| |v| + |x_ret| + r).
+      As v nears c, k holds only the last few bits of c^2, and the
+      dk |w|^2 term is the one that counts where w is nearly normal
+      to v; along v, (w.v)^2 dominates and k hardly matters.
+    * the root, 4 pi (pi rounds by 0.36u), the product with it, the
+      quotient and the products that form phi and a round by 7u at
+      most.
 
-    Forming 1 - n.v / c loses ~7 u doppler, and r, the kernel and the
-    products a few u more: EPS (6 + 4 doppler) covers them.  That
-    relative bound times |phi| bounds the error of phi, and times |a|
-    that of each component of a.  The g factors matter: ahead of a
-    charge at 0.99 c, |g| is ~0.01, while a dw of an ulp of a position
-    3e8 m from the origin moves D by nearly that ulp, through
-    g.v / (c - n.v) of ~0.99.
+    So phi_true / phi lies within [1/R, R] for
+    R = (1 / sqrt(1 - eta)) (1 / (1 - rho')) (1 + 8u), with
+    rho' = rho / sqrt(1 - eta), since D(w) >= sqrt(1 - eta) times the
+    D formed.  R - 1 is a relative bound that times |phi| bounds the
+    error of phi, and times |a| that of each component of a.  Where
+    eta or rho' reaches 1, nothing bounds D, and both bounds are inf.
     """
-    d = res.diagnostics
-    v, n, c = src.v, d["n"], medium.c
-    doppler, r, t_ret = d["doppler"], d["r_ret"], d["t_ret"]
-    vv = (v.x * v.x + v.y * v.y + v.z * v.z) / (c * c)
-    nv = (n.x * v.x + n.y * v.y + n.z * v.z) / c
-    gv = abs(nv - vv)                           # |g.v| / c
-    g = math.sqrt(max(0.0, 1.0 - 2.0 * nv + vv))
-    span = abs(t_ret) * c * math.sqrt(vv)       # |t'| |v|
-    rel = ((gv * c * EPS * (abs(t_ret) + 13.0 * doppler * (t - t_ret))
-            + gv * 2.0 * doppler * _w_rounding(src, y, t)
-            + g * EPS * (span + y.norm() + 2.0 * r)) * doppler / r
-           + EPS * (6.0 + 4.0 * doppler))
+    c = medium.c
+    v = src.v
+    vx, vy, vz = v.x, v.y, v.z
+    vv = vx * vx + vy * vy + vz * vz
+    _, _, _, wx, wy, wz, s, k, wv, w2, disc = _separation(src, y, t, c, True)
+    e = 2.0 * EPS * math.sqrt(w2 * vv)
+    eta = ((2.0 * abs(wv) * e + 3.0 * e * e + EPS * (c * c + 2.0 * vv) * w2)
+           / disc + 3.0 * EPS)
+    dx, dy, dz = _w_rounding(src, y, t)
+    dx, dy, dz = dx * s, dy * s, dz * s
+    dv = dx * vx + dy * vy + dz * vz
+    rho = math.sqrt((dv * dv + k * (dx * dx + dy * dy + dz * dz)) / disc)
+    r = math.sqrt(max(0.0, 1.0 - eta))
+    if r <= rho:
+        return math.inf, math.inf
+    grow = eta / (r * (1.0 + r))                # 1 / sqrt(1 - eta) - 1
+    grow += (1.0 + grow) * rho / (r - rho)
+    rel = grow + 4.0 * EPS * (1.0 + grow)
     return rel * abs(res.phi), rel * res.a.norm()
 
 
-def _w_rounding(src: PointSource, y: Point3, t: float) -> float:
-    """|w - (y - x0 - t v)| for w = y - src.position(t) as
-    solve_retarded_time forms it, from the exact error of each of its
-    three roundings: Dekker's product over Veltkamp's split, and
-    Knuth's two-sum."""
+def _w_rounding(src: PointSource, y: Point3,
+                t: float) -> tuple[float, float, float]:
+    """w - (y - x0 - t v), component by component, for
+    w = y - (x0 + t v) as lienard_wiechert forms it, from the exact
+    error of each of its three roundings: Dekker's product over
+    Veltkamp's split, and Knuth's two-sum."""
     h = _SPLIT * t
     t_hi = h - (h - t)
     t_lo = t - t_hi
@@ -236,7 +223,7 @@ def _w_rounding(src: PointSource, y: Point3, t: float) -> float:
         h = w - yi
         err_w = (yi - (w - h)) - (q + h)
         dws.append(err_q + err_p - err_w)
-    return norm3(*dws)
+    return dws[0], dws[1], dws[2]
 
 
 def lorenz_gauge_residual(src: PointSource, y: Point3, t: float,

@@ -427,18 +427,18 @@ def check_gauge_residuals() -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# 9. boosted Coulomb closed form
+# 9. moving charge: present-position form against the emission point
 
 
 def check_boosted_coulomb() -> CheckResult:
+    """The potentials lienard_wiechert forms from the charge's present
+    position, against the textbook form from the emission point:
+    t' from solve_retarded_time, then q / (4 pi eps0 r (1 - n.v/c))
+    and mu0 q v / (4 pi r (1 - n.v/c)), r = |y - x(t')|."""
     start = time.perf_counter()
     q = 1.0
     v = Vec3(0.5 * C0, 0.0, 0.0)
-    x0 = Point3(0.0, 0.0, 0.0)
-    src = uniform_point_charge(q, x0, v)
-    beta2 = (v.norm() / C0) ** 2
-    gamma = 1.0 / math.sqrt(1.0 - beta2)
-    vhat = v.normalized()
+    src = uniform_point_charge(q, Point3(0.0, 0.0, 0.0), v)
 
     rng = random.Random(99)
     worst = 0.0
@@ -447,12 +447,11 @@ def check_boosted_coulomb() -> CheckResult:
                    rng.uniform(-2, 2))
         t = rng.uniform(-3e-9, 3e-9)
         got = retarded.lienard_wiechert(src, y, t)
-        present = y - (x0 + t * v)
-        lpar = present.dot(vhat)
-        lperp2 = present.dot(present) - lpar * lpar
-        denom = math.sqrt(gamma * gamma * lpar * lpar + lperp2)
-        phi_want = q * gamma / (FOUR_PI * EPS0 * denom)
-        a_want = (MU0 * q * gamma / (FOUR_PI * denom)) * v
+        sep = y - src.position(retarded.solve_retarded_time(src, y, t))
+        r = sep.norm()
+        doppler = 1.0 / (1.0 - sep.dot(v) / (r * C0))
+        phi_want = q * doppler / (FOUR_PI * EPS0 * r)
+        a_want = (MU0 * q * doppler / (FOUR_PI * r)) * v
         worst = max(worst, abs(got.phi - phi_want) / phi_want)
         worst = max(worst, (got.a - a_want).norm() / a_want.norm())
     dt = time.perf_counter() - start

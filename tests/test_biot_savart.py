@@ -374,7 +374,7 @@ def test_moving_charge_b_is_v_cross_e_over_c_squared():
         d = math.sqrt(w.dot(v) ** 2 + k * w.dot(w)) / c
         e = (1e-9 * k / (4 * math.pi * EPS0 * c * c * d ** 3)) * w
         want = v.cross(e) / (c * c)
-        got = retarded.present_b(src, y, 2e-9)
+        got = retarded.lienard_wiechert(src, y, 2e-9, want_b=True).b
         assert (got - want).norm() <= 1e-9 * want.norm()
 
 

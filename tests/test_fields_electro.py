@@ -8,17 +8,20 @@ import pytest
 
 from emsingular.errors import (CoincidentPointsError, InvalidGeometryError,
                                OnSupportError, OutOfDomainError)
-from emsingular.fields import electro
+from emsingular.fields import electro, retarded
 from emsingular.fields.medium import EPS0, VACUUM, MediumConstants
 from emsingular.geometry import Point3, Vec3
 from emsingular.kernels import coincident_floor
-from emsingular.sources import DipoleSource
+from emsingular.sources import DipoleSource, static_point_charge
+
+
+# point charges are fields.retarded's; a static one is Coulomb's
 
 
 def test_point_charge_coulomb_value():
     q = 2e-9
-    res = electro.point_charge_potential(q, Point3(0, 0, 0),
-                                         Point3(3.0, 0.0, 4.0))
+    res = retarded.lienard_wiechert(static_point_charge(q, Point3(0, 0, 0)),
+                                    Point3(3.0, 0.0, 4.0), 0.0)
     assert res.phi == pytest.approx(q / (4.0 * math.pi * EPS0 * 5.0),
                                     rel=1e-14)
     assert res.a.norm() == 0.0
@@ -27,16 +30,16 @@ def test_point_charge_coulomb_value():
 def test_point_charge_medium_scaling():
     doubled = MediumConstants.from_eps_mu(2.0 * VACUUM.eps, VACUUM.mu)
     y = Point3(1.0, 1.0, 0.0)
-    base = electro.point_charge_potential(1e-9, Point3(0, 0, 0), y)
-    half = electro.point_charge_potential(1e-9, Point3(0, 0, 0), y,
-                                          medium=doubled)
+    src = static_point_charge(1e-9, Point3(0, 0, 0))
+    base = retarded.lienard_wiechert(src, y, 0.0)
+    half = retarded.lienard_wiechert(src, y, 0.0, medium=doubled)
     assert half.phi == pytest.approx(0.5 * base.phi, rel=1e-14)
 
 
 def test_point_charge_coincident_raises():
     with pytest.raises(CoincidentPointsError):
-        electro.point_charge_potential(1.0, Point3(1, 2, 3),
-                                       Point3(1, 2, 3))
+        retarded.lienard_wiechert(static_point_charge(1.0, Point3(1, 2, 3)),
+                                  Point3(1, 2, 3), 0.0)
 
 
 def test_dipole_axis_and_equator():

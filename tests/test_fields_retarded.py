@@ -1,16 +1,21 @@
 """Retarded potentials of moving point charges.
 
-The uniform-motion case has a closed form: with gamma = 1/sqrt(1-b^2)
-and l = y - x(t) the separation from the *present* position,
+lienard_wiechert evaluates the present-position form.  The
+uniform-motion case has a second closed form: with
+gamma = 1/sqrt(1-b^2) and l = y - x(t) the separation from the
+*present* position,
 
     phi = q gamma / (4 pi eps sqrt(gamma^2 l_par^2 + l_perp^2))
     a   = eps mu v phi
 
-which exercises the emission time and the Doppler factor together.
+and a third route goes through the emission time and the Doppler
+factor, phi = q / (4 pi eps r (1 - n.v/c)), which selfcheck's
+boosted_coulomb compares with lienard_wiechert.  The tests here take
+the emission time and the Doppler factor from solve_retarded_time.
 On-axis the emission time itself is elementary, so the Doppler factor
-can be pinned to 1/(1 -+ beta) exactly.  Off-axis it is the positive
-root of a quadratic in the delay, solved in closed form and checked
-here against the same root in 60-digit decimals.
+can be pinned to 1/(1 -+ beta) exactly.  Off-axis it is the positive root of a quadratic in the
+delay, solved in closed form and checked here against the same root
+in 60-digit decimals.
 """
 
 import csv
@@ -24,10 +29,9 @@ import pytest
 from emsingular import cli
 from emsingular.errors import (CoincidentPointsError, SuperluminalError)
 from emsingular.fields.medium import C0, EPS0, MU0
-from emsingular.fields import electro, retarded
+from emsingular.fields import retarded
 from emsingular.geometry import Point3, Vec3
-from emsingular.sources import (PointSource, static_point_charge,
-                                uniform_point_charge)
+from emsingular.sources import static_point_charge, uniform_point_charge
 
 Q = 2.5e-9
 
@@ -44,6 +48,15 @@ def boosted_phi(q, x0, v, y, t):
                         * math.sqrt(gamma * gamma * l_par * l_par + l_perp2))
 
 
+def emission(src, y, t):
+    """(t', r, doppler) at the emission point, from solve_retarded_time:
+    r = |y - x(t')| and doppler = 1 / (1 - n.v/c)."""
+    t_ret = retarded.solve_retarded_time(src, y, t)
+    sep = y - src.position(t_ret)
+    r = sep.norm()
+    return t_ret, r, 1.0 / (1.0 - (sep / r).dot(src.v) / C0)
+
+
 # ---------------------------------------------------------------- static
 
 def test_static_charge_reduces_to_coulomb():
@@ -51,10 +64,10 @@ def test_static_charge_reduces_to_coulomb():
     y = Point3(1.3, 0.7, -0.4)
     src = static_point_charge(Q, at)
     res = retarded.lienard_wiechert(src, y, t=4.7)
-    ref = electro.point_charge_potential(Q, at, y)
-    assert res.phi == pytest.approx(ref.phi, rel=1e-14)
+    ref = Q / (4.0 * math.pi * EPS0 * (y - at).norm())
+    assert res.phi == pytest.approx(ref, rel=1e-14)
     assert res.a.norm() == 0.0
-    assert res.diagnostics["doppler"] == pytest.approx(1.0, rel=1e-15)
+    assert emission(src, y, 4.7)[2] == pytest.approx(1.0, rel=1e-15)
 
 
 def test_static_emission_time_lags_by_light_travel():
@@ -98,26 +111,22 @@ def test_doppler_factor_on_axis():
     beta = 0.6
     v = Vec3(beta * C0, 0.0, 0.0)
     src = uniform_point_charge(Q, Point3(0.0, 0.0, 0.0), v)
-    ahead = retarded.lienard_wiechert(src, Point3(2.0, 0.0, 0.0),
-                                      t=0.0).diagnostics
-    behind = retarded.lienard_wiechert(src, Point3(-2.0, 0.0, 0.0),
-                                       t=0.0).diagnostics
-    assert ahead["doppler"] == pytest.approx(1.0 / (1.0 - beta), rel=1e-12)
-    assert behind["doppler"] == pytest.approx(1.0 / (1.0 + beta), rel=1e-12)
+    t_ahead, _, ahead = emission(src, Point3(2.0, 0.0, 0.0), 0.0)
+    t_behind, _, behind = emission(src, Point3(-2.0, 0.0, 0.0), 0.0)
+    assert ahead == pytest.approx(1.0 / (1.0 - beta), rel=1e-12)
+    assert behind == pytest.approx(1.0 / (1.0 + beta), rel=1e-12)
     # emission times: t' = -Y / (c (1 -+ beta))
-    assert ahead["t_ret"] == pytest.approx(-2.0 / (C0 * (1.0 - beta)),
-                                           rel=1e-12)
-    assert behind["t_ret"] == pytest.approx(-2.0 / (C0 * (1.0 + beta)),
-                                            rel=1e-12)
+    assert t_ahead == pytest.approx(-2.0 / (C0 * (1.0 - beta)), rel=1e-12)
+    assert t_behind == pytest.approx(-2.0 / (C0 * (1.0 + beta)), rel=1e-12)
 
 
 def test_doppler_amplifies_approach_attenuates_recession():
     v = Vec3(0.0, 0.0, 0.5 * C0)
     src = uniform_point_charge(Q, Point3(0.0, 0.0, 0.0), v)
-    toward = retarded.lienard_wiechert(src, Point3(0.3, 0.1, 5.0), t=0.0)
-    away = retarded.lienard_wiechert(src, Point3(0.3, 0.1, -5.0), t=0.0)
-    assert toward.diagnostics["doppler"] > 1.0
-    assert away.diagnostics["doppler"] < 1.0
+    toward = emission(src, Point3(0.3, 0.1, 5.0), 0.0)[2]
+    away = emission(src, Point3(0.3, 0.1, -5.0), 0.0)[2]
+    assert toward > 1.0
+    assert away < 1.0
 
 
 # ---------------------------------------------------------------- solver
@@ -317,20 +326,70 @@ def test_point_charge_rounding_bound_is_honest(t, beta):
     assert beta == 0.0 or worst_a >= Decimal("0.01")
 
 
-def test_lienard_wiechert_makes_one_solve_through_the_module(monkeypatch):
-    # perfbench/tracer.py counts emission-time solves by wrapping the
-    # module global; a solve reached by any other route would read 0
-    calls = []
-    solve = retarded.solve_retarded_time
+# 0.9999999999999998 c, the last float speed below c along it
+FOUND_VELOCITY = [192458610.4692093, 104212127.93720242, -204878094.29205224]
+FOUND_POSITION = [-3.7515771173536905, 8.429062560554879, -11.453830364718732]
+FOUND_POINT = [-3.3650592564451975, 8.639114938893009, -11.864375566208414]
 
-    def counting(src, y, t, c):
-        calls.append(t)
-        return solve(src, y, t, c)
 
-    monkeypatch.setattr(retarded, "solve_retarded_time", counting)
-    src = PointSource(Q, Point3(0.0, 0.3, 0.0), Vec3(0.25 * C0, 0.0, 0.0))
-    retarded.lienard_wiechert(src, Point3(1.1, -0.7, 0.9), 2.0e-9)
-    assert calls == [2.0e-9]
+@pytest.mark.parametrize("t", [2.0e-9, 1.37, 1.0e3])
+def test_point_charge_rounding_bound_holds_at_the_last_float_below_c(t):
+    # at beta = 1 - 2^-52, k = c*c - v.v keeps a bit or two of its
+    # 60-digit value; every bound still holds, and stays finite
+    rng = random.Random(int(t * 1e3) + 52)
+    speed = (1.0 - 2.0 ** -52) * C0
+    velocities = [Vec3(*(speed * a for a in direction)) for direction in
+                  ((1.0, 0.0, 0.0), (0.6, -0.8, 0.0), (-0.48, 0.6, 0.64))]
+    velocities.append(Vec3(*FOUND_VELOCITY))
+    for v in velocities:
+        x0 = Point3(0.1, -0.2, 0.3) - t * v
+        src = uniform_point_charge(Q, x0, v)
+        ys = [Point3(rng.uniform(-2, 2), rng.uniform(-2, 2),
+                     rng.uniform(-2, 2)) for _ in range(20)]
+        ys.append(Point3(*FOUND_POINT) - Point3(*FOUND_POSITION)
+                  + src.position(2.0e-9))
+        for y in ys:
+            res = retarded.lienard_wiechert(src, y, t)
+            bound_phi, bound_a = retarded.rounding_bound(src, y, t, res)
+            assert math.isfinite(bound_phi) and math.isfinite(bound_a)
+            phi, a = exact_potentials(Q, x0, v, y, t)
+            assert abs(Decimal(res.phi) - phi) <= Decimal(bound_phi), (v, y)
+            for got, want in zip(res.a.as_tuple(), a):
+                assert abs(Decimal(got) - want) <= Decimal(bound_a), (v, y)
+
+
+def test_run_charge_at_the_last_float_below_c(tmp_path):
+    # there 1 - n.v/c of the emission-point form rounds to 0, and the
+    # run stopped with "internal error: ZeroDivisionError"
+    scene = tmp_path / "scene.yaml"
+    x = FOUND_POINT[0]
+    scene.write_text(textwrap.dedent("""\
+    schema: 1
+    sources:
+      - type: point_charge
+        q: 1.0e-9
+        position: %r
+        velocity: %r
+    grid:
+      x: {start: %r, stop: %r, count: 3}
+      y: %r
+      z: %r
+      time: 2.0e-9
+    outputs: [phi, a]
+    """ % (FOUND_POSITION, FOUND_VELOCITY, x, x + 0.2, FOUND_POINT[1],
+           FOUND_POINT[2])))
+    out = tmp_path / "map.csv"
+    assert cli.main(["run", "--scene", str(scene), "--out", str(out)]) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
+    assert [r["status"] for r in rows] == ["ok"] * 3
+    for r in rows:
+        assert all(math.isfinite(float(r[key])) for key in r
+                   if key != "status"), r
+        y = Point3(float(r["x"]), float(r["y"]), float(r["z"]))
+        phi, _ = exact_potentials(1.0e-9, Point3(*FOUND_POSITION),
+                                  Vec3(*FOUND_VELOCITY), y, 2.0e-9)
+        assert abs(Decimal(r["phi"]) - phi) <= Decimal(r["quad_error"])
 
 
 def test_emission_time_is_deterministic():
@@ -387,7 +446,8 @@ def test_far_charge_is_not_coincident():
                                     Point3(2e154, 1e144, 0.0), t=0.0)
     assert res.phi == pytest.approx(Q / (4.0 * math.pi * EPS0 * 1e144),
                                     rel=1e-14)
-    assert res.diagnostics["r_ret"] == 1e144
+    assert emission(static_point_charge(Q, at), Point3(2e154, 1e144, 0.0),
+                    0.0)[1] == 1e144
 
 
 @pytest.mark.parametrize("x, velocity", [
