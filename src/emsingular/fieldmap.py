@@ -14,9 +14,13 @@ carries a status:
 
 Converged rows contain no NaN; refused cells in flagged rows are NaN,
 and a row whose stencil is refused writes every derivative column NaN.
-b comes from the sources: each returns its own field with its
-potentials at the row point (the Biot-Savart integral, in closed form
-or on the potential's quadrature nodes), and the row sums them.
+Each source returns one PotentialResult, and the row reads its a, phi,
+error, converged and b by name: quad_error is the sum of the sources'
+errors at the row point, and a source that did not converge makes the
+row unconverged.  b comes from the sources: each returns its own field
+with its potentials at the row point (the Biot-Savart integral, in
+closed form or on the potential's quadrature nodes), or None where it
+has none, and the row sums the fields formed.
 e and the gauge residual are central differences of the summed
 potentials with step h = fd_step(point), so superposition holds
 row-wise to rounding.  They share one stencil, evaluated as plain
@@ -52,24 +56,24 @@ _DERIVATIVE_OUTPUTS = ("b", "e", "residual")
 class SourcePart:
     """One scene source turned into evaluator callables.
 
-    evaluate(point, t, want_b) -> (a: Vec3, phi: float, err, ok: bool,
-                                   b: Vec3)
+    evaluate(point, t, want_b) -> PotentialResult  (the evaluator's own)
     near(point, t, radius) -> bool   (within radius of the singular support)
-    error(point, t, err) -> float    (where given)
+    error(point, t, res) -> float    (where given)
 
-    b is the source's magnetic field.  The closed forms (polyline,
-    moving charge) form it only when want_b is true, and return zero
-    otherwise; the quadratures (loop, helix, sheet) form it on the
-    potential's nodes either way; the others have none.  A point
-    charge's phi, a and b all come from one call of
-    retarded.lienard_wiechert, from the charge's present position.
+    The result's b is the source's magnetic field, or None where the
+    source forms none.  The closed forms (polyline, moving charge) form
+    it only when want_b is true; the quadratures (loop, helix, sheet)
+    form it on the potential's nodes either way; the electric sources
+    and a static charge have none.  A point charge's phi, a and b all
+    come from one call of retarded.lienard_wiechert, from the charge's
+    present position.
 
-    err is the error as a float, unless the part has an error(), which
-    makes it from the err that evaluate returned.  That is for parts
-    whose error costs more than their potentials (point charges, whose
-    err is their PotentialResult): compute_row calls it at the row
-    point only, since stencil points write no error.  A point charge's
-    error bounds phi; that of its a is smaller by |v| / c^2.
+    The row's error is the result's error, unless the part has an
+    error(), which makes it from the result.  That is for parts whose
+    error costs more than their potentials (point charges, whose
+    result carries error NaN): compute_row calls it at the row point
+    only, since stencil points write no error.  A point charge's error
+    bounds phi; that of its a is smaller by |v| / c^2.
     """
 
     def __init__(self, kind: str, evaluate, near, time_dependent=False,
@@ -90,15 +94,12 @@ def build_parts(scene: Scene) -> list[SourcePart]:
 def _build_part(s: dict, medium: MediumConstants,
                 cfg: QuadConfig) -> SourcePart:
     kind = s["type"]
-    zero = Vec3(0.0, 0.0, 0.0)
 
     if kind == "loop":
         a, cur, cz = s["radius"], s["current"], s["center_z"]
 
         def evaluate(y: Point3, t: float, want_b: bool = False):
-            res = magneto.loop_potential(a, cur, y, cfg, cz, medium)
-            return (res.a, 0.0, res.diagnostics["a_phi_error"],
-                    res.diagnostics["converged"], res.b)
+            return magneto.loop_potential(a, cur, y, cfg, cz, medium)
 
         def near(y: Point3, t: float, radius: float) -> bool:
             return math.hypot(y.r - a, y.z - cz) < radius
@@ -110,10 +111,8 @@ def _build_part(s: dict, medium: MediumConstants,
         cur, s0 = s["current"], s["sigma0"]
 
         def evaluate(y: Point3, t: float, want_b: bool = False):
-            res = magneto.helix_potential(a, p, length, cur, y, cfg, s0,
-                                          medium)
-            return (res.a, 0.0, res.diagnostics["chart_error"],
-                    res.diagnostics["converged"], res.b)
+            return magneto.helix_potential(a, p, length, cur, y, cfg, s0,
+                                           medium)
 
         def near(y: Point3, t: float, radius: float) -> bool:
             return magneto.helix_distance(a, p, length, s0, y,
@@ -125,10 +124,8 @@ def _build_part(s: dict, medium: MediumConstants,
         a, p, length, k0 = s["radius"], s["pitch"], s["length"], s["kappa0"]
 
         def evaluate(y: Point3, t: float, want_b: bool = False):
-            res = magneto.solenoid_potential(a, p, length, k0, y, cfg,
-                                             medium)
-            return (res.a, 0.0, res.diagnostics["chart_error"],
-                    res.diagnostics["converged"], res.b)
+            return magneto.solenoid_potential(a, p, length, k0, y, cfg,
+                                              medium)
 
         def near(y: Point3, t: float, radius: float) -> bool:
             return cylinder_band_distance(a, 0.0, length, y) < radius
@@ -141,9 +138,7 @@ def _build_part(s: dict, medium: MediumConstants,
         chain = src.params["vertices"]
 
         def evaluate(y: Point3, t: float, want_b: bool = False):
-            res = magneto.curve_potential(src, y, cfg, medium, want_b)
-            return (res.a, 0.0, res.diagnostics["chart_error"],
-                    res.diagnostics["converged"], res.b or zero)
+            return magneto.curve_potential(src, y, cfg, medium, want_b)
 
         def near(y: Point3, t: float, radius: float) -> bool:
             return any(segment_distance(y, p0, p1) < radius
@@ -155,9 +150,7 @@ def _build_part(s: dict, medium: MediumConstants,
         z0, lam, gap = s["z0"], s["lambda"], s["gap"]
 
         def evaluate(y: Point3, t: float, want_b: bool = False):
-            res = electro.plate_wire_potential(z0, lam, gap, y, medium)
-            return (zero, res.phi, res.diagnostics["rounding_error"], True,
-                    zero)
+            return electro.plate_wire_potential(z0, lam, gap, y, medium)
 
         def near(y: Point3, t: float, radius: float) -> bool:
             return math.hypot(y.x, y.z - z0) < radius
@@ -173,9 +166,8 @@ def _build_part(s: dict, medium: MediumConstants,
                else sources.static_point_charge(q, x0))
 
         def evaluate(y: Point3, t: float, want_b: bool = False):
-            res = retarded.lienard_wiechert(src, y, t, medium,
-                                            want_b and moving)
-            return (res.a, res.phi, res, True, res.b or zero)
+            return retarded.lienard_wiechert(src, y, t, medium,
+                                             want_b and moving)
 
         def error(y: Point3, t: float, res) -> float:
             return retarded.rounding_bound(src, y, t, res, medium)[0]
@@ -191,8 +183,7 @@ def _build_part(s: dict, medium: MediumConstants,
                                    Vec3(*s["moment"]))
 
         def evaluate(y: Point3, t: float, want_b: bool = False):
-            res = electro.dipole_potential(dip, y, medium)
-            return (zero, res.phi, 0.0, True, zero)
+            return electro.dipole_potential(dip, y, medium)
 
         def near(y: Point3, t: float, radius: float) -> bool:
             return (y - dip.location).norm() < radius
@@ -237,33 +228,31 @@ def compute_row(scene: Scene, parts: list[SourcePart],
     status = "ok"
 
     def total(y: Point3, at: float, with_b: bool = False):
+        # b sums only the fields formed: skipping a +0.0 term moves no
+        # bit of a sum that starts at +0.0
         ax = ay = az = phi = bx = by = bz = 0.0
-        errs = []
-        ok = True
-        for part in parts:
-            av, pv, ev, okv, bv = part.evaluate(y, at, with_b)
-            ax += av.x
-            ay += av.y
-            az += av.z
-            phi += pv
-            if with_b:
-                bx += bv.x
-                by += bv.y
-                bz += bv.z
-            errs.append(ev)
-            ok = ok and okv
-        return (ax, ay, az, phi), (bx, by, bz), errs, ok
+        results = [part.evaluate(y, at, with_b) for part in parts]
+        for res in results:
+            ax += res.a.x
+            ay += res.a.y
+            az += res.a.z
+            phi += res.phi
+            if with_b and res.b is not None:
+                bx += res.b.x
+                by += res.b.y
+                bz += res.b.z
+        return (ax, ay, az, phi), (bx, by, bz), results
 
     # potentials, and b when asked for, at the row point
     pot_val = (_NAN,) * 4
     b_sum = (_NAN,) * 3
     err_val = _NAN
     try:
-        pot_val, b_sum, errs, converged = total(point, t, want_b)
+        pot_val, b_sum, results = total(point, t, want_b)
         err_val = 0.0
-        for part, ev in zip(parts, errs):
-            err_val += part.error(point, t, ev) if part.error else ev
-        if not converged:
+        for part, res in zip(parts, results):
+            err_val += part.error(point, t, res) if part.error else res.error
+        if not all(res.converged for res in results):
             status = "unconverged"
     except OnSupportError:
         status = "on_support"

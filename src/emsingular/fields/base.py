@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 
 from ..geometry import Point3, Vec3
 
@@ -14,18 +14,26 @@ class PotentialResult:
 
     a is the vector potential (tesla meter), phi the scalar potential
     (volts); either may be zero for purely magnetic or purely electric
-    sources.  diagnostics carries quadrature error estimates and
-    evaluation counts keyed by integral name.  b is the magnetic field
-    (tesla) where the evaluator forms it with the potentials, else None.
+    sources.  error bounds the error of every component of a and of
+    phi (quadrature or rounding), and converged says whether the
+    quadrature met its tolerance; every evaluator sets both.  b is the
+    magnetic field (tesla) where the evaluator forms it with the
+    potentials, else None.  diagnostics holds what not every kind has:
+    `evaluations` (integrand nodes) and `b_error` (tesla, bounding b).
 
-    One is built per source at every stencil point of a row, so the
-    class is slotted and not frozen: a frozen dataclass sets each field
-    through object.__setattr__, which costs more than some evaluators.
+    Every field after a is keyword-only, so no call depends on their
+    order.  One is built per source at every stencil point of a row, so
+    the class is slotted and not frozen: a frozen dataclass sets each
+    field through object.__setattr__, which costs more than some
+    evaluators.
     """
 
     point: Point3
     a: Vec3
+    _: KW_ONLY
     phi: float = 0.0
+    error: float
+    converged: bool
     diagnostics: dict = field(default_factory=dict)
     b: Vec3 | None = None
 
@@ -35,4 +43,3 @@ class PotentialResult:
         return (self.a.x * c + self.a.y * s,
                 -self.a.x * s + self.a.y * c,
                 self.a.z)
-

@@ -37,7 +37,8 @@ def dipole_potential(dip: DipoleSource, y: Point3,
     except OverflowError:       # d above ~5.6e102 m
         d3 = math.inf
     phi = (m.x * sx + m.y * sy + m.z * sz) / (4.0 * math.pi * medium.eps * d3)
-    return PotentialResult(y, Vec3(0.0, 0.0, 0.0), phi)
+    return PotentialResult(y, Vec3(0.0, 0.0, 0.0), phi=phi, error=0.0,
+                           converged=True)
 
 
 def plate_wire_potential(z0: float, lam: float, plate_gap: float, y: Point3,
@@ -86,8 +87,8 @@ def plate_wire_potential(z0: float, lam: float, plate_gap: float, y: Point3,
         raise OutOfDomainError(
             "z = %g outside the plate gap [0, %g]" % (z, L))
     if z == 0.0 or z == L:
-        return PotentialResult(y, Vec3(0.0, 0.0, 0.0), 0.0,
-                               {"rounding_error": 0.0, "converged": True})
+        return PotentialResult(y, Vec3(0.0, 0.0, 0.0), error=0.0,
+                               converged=True)
     dz = z - z0
     # the floor of y and (0, 0, z0), whose norm sqrt(z0 * z0) is |z0|
     if math.hypot(y.x, dz) < kernels.norm_floor(y.norm(), abs(z0)):
@@ -100,8 +101,7 @@ def plate_wire_potential(z0: float, lam: float, plate_gap: float, y: Point3,
     r = (4.0 * q * math.sin(k * min(z, L - z)) * math.sin(k * min(z0, L - z0))
          / (m * m + 4.0 * q * h * h))
     phi = lam / (4.0 * math.pi * medium.eps) * math.log1p(r)
-    return PotentialResult(y, Vec3(0.0, 0.0, 0.0), phi, {
-        # phi = 0 is exact also where t overflows to inf
-        "rounding_error": EPS * (20.0 + 3.0 * t) * abs(phi) if phi else 0.0,
-        "converged": True,
-    })
+    # phi = 0 is exact also where t overflows to inf
+    err = EPS * (20.0 + 3.0 * t) * abs(phi) if phi else 0.0
+    return PotentialResult(y, Vec3(0.0, 0.0, 0.0), phi=phi, error=err,
+                           converged=True)

@@ -78,12 +78,9 @@ def loop_potential(radius: float, current: float, y: Point3,
     pref = medium.mu * current * a / FOUR_PI
     vec = cyl_to_cart(0.0, pref * val, 0.0, y.phi)
     b = cyl_to_cart(pref * j_r, 0.0, pref * j_z, y.phi)
-    return PotentialResult(y, vec, 0.0, {
-        "a_phi_error": abs(pref) * err,
-        "b_error": abs(pref) * b_err,
-        "evaluations": evals,
-        "converged": bool(ok),
-    }, b)
+    return PotentialResult(y, vec, error=abs(pref) * err, converged=bool(ok),
+                           diagnostics={"b_error": abs(pref) * b_err,
+                                        "evaluations": evals}, b=b)
 
 
 def helix_potential(radius: float, pitch: float, length: float,
@@ -124,12 +121,9 @@ def helix_potential(radius: float, pitch: float, length: float,
     a_z = pref * p * i_one
     vec = cyl_to_cart(a_r, a_phi, a_z, y.phi)
     b = cyl_to_cart(pref * j_r, pref * j_phi, pref * j_z, y.phi)
-    return PotentialResult(y, vec, 0.0, {
-        "chart_error": abs(pref) * err,
-        "b_error": abs(pref) * b_err,
-        "evaluations": evals,
-        "converged": bool(ok),
-    }, b)
+    return PotentialResult(y, vec, error=abs(pref) * err, converged=bool(ok),
+                           diagnostics={"b_error": abs(pref) * b_err,
+                                        "evaluations": evals}, b=b)
 
 
 def solenoid_potential(radius: float, pitch: float, length: float,
@@ -175,12 +169,9 @@ def solenoid_potential(radius: float, pitch: float, length: float,
     vec = cyl_to_cart(0.0, a_phi, a_z, y.phi)
     b = cyl_to_cart(pref * a * big_p * j_r, pref * p * j_phi,
                     pref * a * big_p * j_z, y.phi)
-    return PotentialResult(y, vec, 0.0, {
-        "chart_error": abs(pref) * err,
-        "b_error": abs(pref) * b_err,
-        "evaluations": evals,
-        "converged": bool(ok),
-    }, b)
+    return PotentialResult(y, vec, error=abs(pref) * err, converged=bool(ok),
+                           diagnostics={"b_error": abs(pref) * b_err,
+                                        "evaluations": evals}, b=b)
 
 
 def curve_potential(src: CurveSource, y: Point3,
@@ -226,11 +217,8 @@ def curve_potential(src: CurveSource, y: Point3,
         ok = ok and res.converged
     pref = medium.mu * src.i0
     vec = pref * Vec3(*comps)
-    return PotentialResult(y, vec, 0.0, {
-        "chart_error": abs(pref) * err,
-        "evaluations": evals,
-        "converged": ok,
-    })
+    return PotentialResult(y, vec, error=abs(pref) * err, converged=ok,
+                           diagnostics={"evaluations": evals})
 
 
 def _polyline_potential(segments: list[tuple[Point3, Point3]], i0: float,
@@ -240,7 +228,7 @@ def _polyline_potential(segments: list[tuple[Point3, Point3]], i0: float,
     v_k = int ds / |y - x(s)| along segment k and u_k its direction;
     with want_b also b = (mu i0 / 4 pi) * sum_k of _segment_field.
 
-    chart_error bounds the rounding of every component of a:
+    error bounds the rounding of every component of a:
     |mu i0 / 4 pi| * SEGMENT_ERROR_C * EPS * sum_k (1 + |v_k| + kappa_k).
     """
     xs, ys, zs = [], [], []
@@ -258,11 +246,10 @@ def _polyline_potential(segments: list[tuple[Point3, Point3]], i0: float,
     if want_b:
         fields = [_segment_field(y, p0, p1) for p0, p1 in segments]
         b = Vec3(*(pref * math.fsum(f[i] for f in fields) for i in range(3)))
-    return PotentialResult(y, vec, 0.0, {
-        "chart_error": abs(pref) * SEGMENT_ERROR_C * EPS * size,
-        "evaluations": 0,
-        "converged": True,
-    }, b)
+    return PotentialResult(y, vec,
+                           error=abs(pref) * SEGMENT_ERROR_C * EPS * size,
+                           converged=True, diagnostics={"evaluations": 0},
+                           b=b)
 
 
 def _segment_integral(y: Point3, p0: Point3, p1: Point3

@@ -118,6 +118,9 @@ def lienard_wiechert(src: PointSource, y: Point3, t: float,
     D^3 overflows.  A field point at the present position, or within
     the free kernel's coincidence floor of it, is refused with
     CoincidentPointsError.
+
+    res.error is NaN: the rounding bound costs more than the potentials,
+    so it is formed apart, by rounding_bound, where it is written.
     """
     c = medium.c
     px, py, pz, wx, wy, wz, s, k, wv, w2, disc = _separation(
@@ -138,7 +141,8 @@ def lienard_wiechert(src: PointSource, y: Point3, t: float,
                  (v.z * wx - v.x * wz) * g * s * s,
                  (v.x * wy - v.y * wx) * g * s * s)
     return PotentialResult(y, Vec3(v.x * m, v.y * m, v.z * m),
-                           (src.q / medium.eps) * f, b=b)
+                           phi=(src.q / medium.eps) * f, error=math.nan,
+                           converged=True, b=b)
 
 
 def rounding_bound(src: PointSource, y: Point3, t: float,

@@ -119,8 +119,8 @@ def exterior3_columns(scene, parts, point, t):
     def total(p, at):
         a, phi = Vec3(0.0, 0.0, 0.0), 0.0
         for part in parts:
-            av, pv = part.evaluate(p, at)[:2]
-            a, phi = a + av, phi + pv
+            res = part.evaluate(p, at)
+            a, phi = a + res.a, phi + res.phi
         return a, phi
 
     cols = {}
@@ -187,7 +187,7 @@ def test_shared_points_give_the_unshared_stencil_values():
         elif curl:
             h = scene.fd_step(point.norm())
             half = magneto.derive_b(
-                lambda p: sum((part.evaluate(p, t)[0] for part in parts),
+                lambda p: sum((part.evaluate(p, t).a for part in parts),
                               Vec3(0.0, 0.0, 0.0)), 0.5 * h)(point)
             trunc = max(abs(curl[k] - v)
                         for k, v in zip(b_cols, half.as_tuple()))
@@ -229,12 +229,12 @@ def test_non_finite_stencil_potential_refuses_the_derivatives(outputs,
     inner = parts[0].evaluate
 
     def evaluate(y, t, want_b=False):
-        a, phi, err, ok, b = inner(y, t, want_b)
+        res = inner(y, t, want_b)
         if y == bad and component == "a_x":
-            a = Vec3(math.inf, a.y, a.z)
+            res.a = Vec3(math.inf, res.a.y, res.a.z)
         elif y == bad:
-            phi = math.inf
-        return a, phi, err, ok, b
+            res.phi = math.inf
+        return res
 
     parts[0].evaluate = evaluate
     row = row_dict(scene, fieldmap.compute_row(scene, parts, coords))

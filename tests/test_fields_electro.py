@@ -101,8 +101,8 @@ def test_plate_wire_rounding_bound_is_honest():
                 electro.plate_wire_potential(z0, lam, L, y)
             continue
         res = electro.plate_wire_potential(z0, lam, L, y)
-        assert res.diagnostics["converged"]
-        bound = res.diagnostics["rounding_error"]
+        assert res.converged
+        bound = res.error
         err = abs(mpmath.mpf(res.phi) - _plate_wire_mp(z0, lam, L, x, z))
         assert err <= bound
         worst = max(worst, float(err / bound))
@@ -122,7 +122,7 @@ def test_plate_wire_series_matches_closed_form():
                  for n in range(1, 200)]
         series = lam / (math.pi * VACUUM.eps) * math.fsum(terms)
         res = electro.plate_wire_potential(z0, lam, L, y)
-        assert res.diagnostics["converged"]
+        assert res.converged
         assert res.phi == pytest.approx(series, rel=1e-10)
 
 
@@ -138,7 +138,7 @@ def test_plate_wire_error_bounds_the_slow_tail(x):
             res = electro.plate_wire_potential(z0, lam, L, y)
             exact = _plate_wire_mp(z0, lam, L, x, y.z)
             assert abs(mpmath.mpf(res.phi) - exact) <= \
-                res.diagnostics["rounding_error"]
+                res.error
 
 
 def test_plate_wire_boundary_values_are_zero():
@@ -160,8 +160,8 @@ def test_plate_wire_on_plane_abel_limit():
                 near = electro.plate_wire_potential(z0, lam, L,
                                                     Point3(side, 0.0, z))
                 assert abs(near.phi - on.phi) <= (
-                    near.diagnostics["rounding_error"]
-                    + on.diagnostics["rounding_error"])
+                    near.error
+                    + on.error)
 
 
 def test_plate_wire_symmetric_in_x():
@@ -222,7 +222,7 @@ def test_plate_wire_far_beyond_overflow_is_off_the_wire():
         res = electro.plate_wire_potential(0.5, 1e-9, 1.0,
                                            Point3(x, 0.0, 0.5))
         assert res.phi == 0.0
-        assert res.diagnostics["rounding_error"] == 0.0
+        assert res.error == 0.0
 
 
 def test_dipole_far_away_is_zero_not_an_overflow():

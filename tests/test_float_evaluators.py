@@ -25,7 +25,8 @@ def vec3_dipole_potential(dip, y, medium=VACUUM):
     d = sep.norm()
     kernels.free_kernel(y, dip.location)
     phi = dip.moment.dot(sep) / (4.0 * math.pi * medium.eps * d ** 3)
-    return PotentialResult(y, Vec3(0.0, 0.0, 0.0), phi)
+    return PotentialResult(y, Vec3(0.0, 0.0, 0.0), phi=phi, error=0.0,
+                           converged=True)
 
 
 def vec3_plate_wire_floor(z0, y):
@@ -41,11 +42,12 @@ def outcome(fn, *args):
     except (EmsingularError, ArithmeticError) as exc:
         return type(exc).__name__, str(exc)
     d = res.diagnostics
-    values = [res.phi, *res.a.as_tuple()]
+    values = [res.phi, *res.a.as_tuple(), res.error]
     for key in sorted(d):
         val = d[key]
         values += val.as_tuple() if isinstance(val, Vec3) else [val]
-    return res.point, sorted(d), [float.hex(float(x)) for x in values]
+    return (res.point, res.converged, sorted(d),
+            [float.hex(float(x)) for x in values])
 
 
 def point(rng, scale):
