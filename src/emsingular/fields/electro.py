@@ -3,7 +3,8 @@ between grounded plates.  Point charges, static or moving, are
 fields.retarded's.
 
 The line charge's image series is summed in closed form, one logarithm
-for every field point, with a rounding-level error bound."""
+for every field point.  Both evaluators return a rounding-level error
+bound as the result's error."""
 
 from __future__ import annotations
 
@@ -26,7 +27,23 @@ def dipole_potential(dip: DipoleSource, y: Point3,
     """Ideal dipole: phi = m . (y - x0) / (4 pi eps |y - x0|^3).
 
     Written out in floats, one separation for the free kernel's
-    coincidence floor and for the value."""
+    coincidence floor and for the value.
+
+    Rounding (u = EPS / 2, libm within 2u): s = y - x0 is within u of
+    y - x0 in each component.  m . s, two sums of three products, is
+    then within 4u of the exact m . (y - x0) times A = sum_i |m_i s_i|,
+    not |m . s|, which cancels near the equatorial plane.  |s| is within
+    3u of |y - x0| from the sum of squares and the root, and 0.5u more
+    from s, so d^3 is within 12.5u of |y - x0|^3, pow included; 4 pi
+    (pi rounds by 0.36u), the two products and the quotient add 3.4u:
+
+        |dphi| <= EPS * (2.5 A + 8.5 |m . s|) / (4 pi eps d^3),
+
+    first order, with the slack of the rounded-up coefficients covering
+    the rest.  Where d^3 overflows, phi is 0, and the error is at most
+    |phi| <= |m|_1 / (4 pi eps d^2), which is doubled to cover its own
+    roundings.  The bound holds wherever no product underflows.
+    """
     at, m = dip.location, dip.moment
     sx, sy, sz = y.x - at.x, y.y - at.y, y.z - at.z
     d = norm3(sx, sy, sz)
@@ -36,8 +53,15 @@ def dipole_potential(dip: DipoleSource, y: Point3,
         d3 = d ** 3
     except OverflowError:       # d above ~5.6e102 m
         d3 = math.inf
-    phi = (m.x * sx + m.y * sy + m.z * sz) / (4.0 * math.pi * medium.eps * d3)
-    return PotentialResult(y, Vec3(0.0, 0.0, 0.0), phi=phi, error=0.0,
+    px, py, pz = m.x * sx, m.y * sy, m.z * sz
+    num = px + py + pz
+    den = 4.0 * math.pi * medium.eps * d3
+    if d3 < math.inf:
+        err = EPS * (2.5 * (abs(px) + abs(py) + abs(pz)) + 8.5 * abs(num)) / den
+    else:
+        err = (2.0 * (abs(m.x) + abs(m.y) + abs(m.z))
+               / (4.0 * math.pi * medium.eps * d) / d)
+    return PotentialResult(y, Vec3(0.0, 0.0, 0.0), phi=num / den, error=err,
                            converged=True)
 
 

@@ -108,6 +108,28 @@ def test_point_charge_bound_runs_at_the_row_point_only(monkeypatch):
                                       scene.medium)[0] > 0.0
 
 
+@pytest.mark.parametrize("source", [
+    LOOP, HELIX, SOLENOID, SQUARE, PLATE_WIRE, MOVING_CHARGE, DIPOLE,
+], ids=lambda s: s["type"])
+def test_one_source_row_writes_its_error(source):
+    # quad_error of a one-source ok row is that source's own error
+    # (a point charge's from rounding_bound), and no kind leaves it 0
+    scene = make_scene([source], ["phi", "a"])
+    (part,) = fieldmap.build_parts(scene)
+    point = Point3(0.3, 0.2, 0.6)     # off the dipole's equatorial plane
+    row = row_dict(scene, fieldmap.compute_row(scene, [part],
+                                               point.as_tuple()))
+    assert row["status"] == "ok"
+    res = part.evaluate(point, 0.0)
+    if source is MOVING_CHARGE:
+        src = uniform_point_charge(1e-9, Point3(0.0, -1.0, 0.5),
+                                   Vec3(3e7, 6e7, 0.0))
+        want = retarded.rounding_bound(src, point, 0.0, res, scene.medium)[0]
+    else:
+        want = res.error
+    assert row["quad_error"] == want > 0.0
+
+
 def exterior3_columns(scene, parts, point, t):
     """b, e and residual columns by the exterior3 route (derive_b,
     d_numeric, codifferential) over a plain, uncached sum of the parts'

@@ -62,6 +62,44 @@ def test_dipole_angular_dependence():
     assert res.phi == pytest.approx(expected, rel=1e-13)
 
 
+def _unit(rng):
+    u = Vec3(rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1))
+    return u / u.norm()
+
+
+def test_dipole_rounding_bound_is_honest():
+    # seeded dipoles, every other point near or on the equatorial plane,
+    # where m . (y - x0) cancels; the bound holds at every point against
+    # 40 digits, and is within 100x of the error wherever that error is
+    # at least u / 4 of the uncancelled scale sum_i |m_i s_i| / 4 pi eps d^3
+    rng = random.Random(7)
+    tight = [0, 0]
+    with mpmath.workdps(40):
+        for i in range(200):
+            at = Point3(*(rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3, 6)
+                          for _ in range(3)))
+            u = _unit(rng)
+            dip = DipoleSource(at, 10.0 ** rng.uniform(-15, -9) * u)
+            w = _unit(rng)
+            if i % 2:
+                w = w - w.dot(u) * u
+                w = w / w.norm() + rng.choice([0.0, 1e-12, 1e-6, 1e-3]) * u
+            y = at + 10.0 ** rng.uniform(-3, 2) * w
+            res = electro.dipole_potential(dip, y)
+            s = [mpmath.mpf(a) - mpmath.mpf(b)
+                 for a, b in zip(y.as_tuple(), at.as_tuple())]
+            m = [mpmath.mpf(c) for c in dip.moment.as_tuple()]
+            den = (4 * mpmath.pi * mpmath.mpf(VACUUM.eps)
+                   * mpmath.sqrt(sum(c * c for c in s)) ** 3)
+            exact = sum(a * b for a, b in zip(m, s)) / den
+            err = abs(mpmath.mpf(res.phi) - exact)
+            assert err <= res.error, (i, y)
+            if err >= 2.0 ** -55 * sum(abs(a * b) for a, b in zip(m, s)) / den:
+                assert res.error <= 100 * err, (i, y)
+                tight[i % 2] += 1
+    assert min(tight) >= 40
+
+
 # ---------------------------------------------------------------------------
 # line charge between grounded plates
 
@@ -230,3 +268,8 @@ def test_dipole_far_away_is_zero_not_an_overflow():
     dip = DipoleSource(Point3(0.0, 0.0, 0.0), Vec3(1e-12, 0.0, 0.0))
     for x in (1e120, 1e200, -1e308):
         assert electro.dipole_potential(dip, Point3(x, 0.0, 0.0)).phi == 0.0
+    # where phi is still above underflow, its error bounds the phi lost
+    res = electro.dipole_potential(dip, Point3(1e120, 0.0, 0.0))
+    exact = mpmath.mpf(1e-12) / (4 * mpmath.pi * mpmath.mpf(VACUUM.eps)
+                                 * mpmath.mpf(1e120) ** 2)
+    assert exact <= res.error <= 4 * exact

@@ -24,8 +24,12 @@ def vec3_dipole_potential(dip, y, medium=VACUUM):
     sep = y - dip.location
     d = sep.norm()
     kernels.free_kernel(y, dip.location)
-    phi = dip.moment.dot(sep) / (4.0 * math.pi * medium.eps * d ** 3)
-    return PotentialResult(y, Vec3(0.0, 0.0, 0.0), phi=phi, error=0.0,
+    m = dip.moment
+    num = m.dot(sep)
+    den = 4.0 * math.pi * medium.eps * d ** 3
+    size = abs(m.x * sep.x) + abs(m.y * sep.y) + abs(m.z * sep.z)
+    err = electro.EPS * (2.5 * size + 8.5 * abs(num)) / den
+    return PotentialResult(y, Vec3(0.0, 0.0, 0.0), phi=num / den, error=err,
                            converged=True)
 
 
