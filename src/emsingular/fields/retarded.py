@@ -161,10 +161,10 @@ def rounding_bound(src: PointSource, y: Point3, t: float,
       is rho times the D formed.
     * disc = (w.v)^2 + k |w|^2 is off its exact value by at most
       eta disc.  w.v, a sum of three products, is within 3u |w| |v|,
-      which e = 4u |w| |v| covers, |w|^2 within 3u of itself, and
-      k = c*c - v.v within
-      dk = u (c^2 + 3 v.v + k) <= 2u (c^2 + 2 v.v).  The squaring, the
-      product and the sum add 5u disc at most, so
+      which e = 4u |w| |v| covers, and |w|^2 within 3u of itself.
+      k = c*c - v.v is off c^2 - v.v by dk, taken exactly from its six
+      roundings (_k_rounding).  The squaring, the product and the sum
+      add 5u disc at most, so
 
           eta disc <= 2 |w.v| e + 3 e^2 + dk |w|^2 + 5u disc.
 
@@ -180,7 +180,9 @@ def rounding_bound(src: PointSource, y: Point3, t: float,
     rho' = rho / sqrt(1 - eta), since D(w) >= sqrt(1 - eta) times the
     D formed.  R - 1 is a relative bound that times |phi| bounds the
     error of phi, and times |a| that of each component of a.  Where
-    eta or rho' reaches 1, nothing bounds D, and both bounds are inf.
+    eta or rho' reaches 1, nothing bounds D, and both bounds are inf;
+    at the last float speed below c, k is within ~10% of c^2 - v.v,
+    and both stay finite.
     """
     c = medium.c
     v = src.v
@@ -188,7 +190,7 @@ def rounding_bound(src: PointSource, y: Point3, t: float,
     vv = vx * vx + vy * vy + vz * vz
     _, _, _, wx, wy, wz, s, k, wv, w2, disc = _separation(src, y, t, c, True)
     e = 2.0 * EPS * math.sqrt(w2 * vv)
-    eta = ((2.0 * abs(wv) * e + 3.0 * e * e + EPS * (c * c + 2.0 * vv) * w2)
+    eta = ((2.0 * abs(wv) * e + 3.0 * e * e + _k_rounding(v, c) * w2)
            / disc + 3.0 * EPS)
     dx, dy, dz = _w_rounding(src, y, t)
     dx, dy, dz = dx * s, dy * s, dz * s
@@ -203,31 +205,57 @@ def rounding_bound(src: PointSource, y: Point3, t: float,
     return rel * abs(res.phi), rel * res.a.norm()
 
 
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    """(a * b rounded, its exact error): Dekker's product over
+    Veltkamp's split."""
+    p = a * b
+    h = _SPLIT * a
+    a_hi = h - (h - a)
+    a_lo = a - a_hi
+    h = _SPLIT * b
+    b_hi = h - (h - b)
+    b_lo = b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    """(a + b rounded, its exact error): Knuth's two-sum."""
+    s = a + b
+    h = s - a
+    return s, (a - (s - h)) + (b - h)
+
+
 def _w_rounding(src: PointSource, y: Point3,
                 t: float) -> tuple[float, float, float]:
     """w - (y - x0 - t v), component by component, for
     w = y - (x0 + t v) as lienard_wiechert forms it, from the exact
-    error of each of its three roundings: Dekker's product over
-    Veltkamp's split, and Knuth's two-sum."""
-    h = _SPLIT * t
-    t_hi = h - (h - t)
-    t_lo = t - t_hi
+    error of each of its three roundings."""
     x0, v = src.x0, src.v
     dws = []
     for yi, xi, vi in ((y.x, x0.x, v.x), (y.y, x0.y, v.y), (y.z, x0.z, v.z)):
-        p = vi * t
-        q = xi + p
-        w = yi - q
-        h = _SPLIT * vi
-        v_hi = h - (h - vi)
-        v_lo = vi - v_hi
-        err_p = ((v_hi * t_hi - p) + v_hi * t_lo + v_lo * t_hi) + v_lo * t_lo
-        h = q - xi
-        err_q = (xi - (q - h)) + (p - h)
-        h = w - yi
-        err_w = (yi - (w - h)) - (q + h)
+        p, err_p = _two_product(vi, t)
+        q, err_q = _two_sum(xi, p)
+        _, err_w = _two_sum(yi, -q)
         dws.append(err_q + err_p - err_w)
     return dws[0], dws[1], dws[2]
+
+
+def _k_rounding(v: Vec3, c: float) -> float:
+    """A bound on |k - (c^2 - v.v)| for k = c*c - v.v as _separation
+    forms it: the exact errors of its six roundings, summed by fsum to
+    within u of their sum, which 1 + EPS covers.  Exact wherever no
+    product of v's components underflows."""
+    cc, e_cc = _two_product(c, c)
+    px, e_x = _two_product(v.x, v.x)
+    py, e_y = _two_product(v.y, v.y)
+    pz, e_z = _two_product(v.z, v.z)
+    s, e_s = _two_sum(px, py)
+    vv, e_vv = _two_sum(s, pz)
+    _, e_k = _two_sum(cc, -vv)
+    # k + e_k = cc - vv, cc + e_cc = c^2 and vv + e_vv + e_s + e_x + e_y
+    # + e_z = v.v, so k - (c^2 - v.v) = -(e_k + e_cc - e_vv - e_s - ...)
+    return abs(math.fsum((e_k, e_cc, -e_vv, -e_s, -e_x, -e_y, -e_z))) \
+        * (1.0 + EPS)
 
 
 def lorenz_gauge_residual(src: PointSource, y: Point3, t: float,

@@ -358,6 +358,36 @@ def test_point_charge_rounding_bound_holds_at_the_last_float_below_c(t):
                 assert abs(Decimal(got) - want) <= Decimal(bound_a), (v, y)
 
 
+@pytest.mark.parametrize("t", [0.0, 2.0e-9])
+def test_point_charge_bound_normal_to_v_at_the_last_float_below_c(t):
+    # at beta = 1 - 2^-52 with y - x(t) normal to v, k = c*c - v.v keeps
+    # a bit or two of its 60-digit value and phi is ~5% off; with k's
+    # rounding formed exactly the bound is finite, holds and is tight
+    # (t = 0 along x is the charge at the origin seen from (0, 1, 0)).
+    # t stays small, so x0 lies within ~1 m: at t = 1.37 s, w's own
+    # rounding along v moves D by most of itself, and the bound is inf
+    speed = (1.0 - 2.0 ** -52) * C0
+    worst = Decimal(0)
+    for direction, normal in (((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
+                              ((0.6, -0.8, 0.0), (0.8, 0.6, 0.0)),
+                              ((-0.48, 0.6, 0.64), (0.0, 0.64, -0.6))):
+        v = Vec3(*(speed * a for a in direction))
+        x0 = Point3(0.0, 0.0, 0.0) - t * v
+        src = uniform_point_charge(Q, x0, v)
+        for r in (1.0, 0.37, 25.0):
+            y = Point3(*(r * a for a in normal))
+            res = retarded.lienard_wiechert(src, y, t)
+            bound_phi, bound_a = retarded.rounding_bound(src, y, t, res)
+            assert math.isfinite(bound_phi) and math.isfinite(bound_a)
+            phi, a = exact_potentials(Q, x0, v, y, t)
+            err = abs(Decimal(res.phi) - phi)
+            assert err <= Decimal(bound_phi), (v, y)
+            worst = max(worst, err / Decimal(bound_phi))
+            for got, want in zip(res.a.as_tuple(), a):
+                assert abs(Decimal(got) - want) <= Decimal(bound_a), (v, y)
+    assert worst >= Decimal("0.01")
+
+
 def test_run_charge_at_the_last_float_below_c(tmp_path):
     # there 1 - n.v/c of the emission-point form rounds to 0, and the
     # run stopped with "internal error: ZeroDivisionError"
