@@ -16,7 +16,9 @@ class PotentialResult:
     (volts); either may be zero for purely magnetic or purely electric
     sources.  error bounds the error of every component of a and of
     phi (quadrature or rounding), and converged says whether the
-    quadrature met its tolerance; every evaluator sets both.  b is the
+    quadrature met its tolerance; every evaluator sets both.  error is
+    NaN where the bound costs more than the potentials and is formed
+    apart (a point charge's: retarded.rounding_bound).  b is the
     magnetic field (tesla) where the evaluator forms it with the
     potentials, else None.  diagnostics holds what not every kind has:
     `evaluations` (integrand nodes) and `b_error` (tesla, bounding b).
