@@ -33,6 +33,7 @@ attenuated.  selfcheck compares the two routes.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .. import exterior3, kernels
@@ -190,7 +191,7 @@ def rounding_bound(src: PointSource, y: Point3, t: float,
     vv = vx * vx + vy * vy + vz * vz
     _, _, _, wx, wy, wz, s, k, wv, w2, disc = _separation(src, y, t, c, True)
     e = 2.0 * EPS * math.sqrt(w2 * vv)
-    eta = ((2.0 * abs(wv) * e + 3.0 * e * e + _k_rounding(v, c) * w2)
+    eta = ((2.0 * abs(wv) * e + 3.0 * e * e + _k_rounding(vx, vy, vz, c) * w2)
            / disc + 3.0 * EPS)
     dx, dy, dz = _w_rounding(src, y, t)
     dx, dy, dz = dx * s, dy * s, dz * s
@@ -240,15 +241,17 @@ def _w_rounding(src: PointSource, y: Point3,
     return dws[0], dws[1], dws[2]
 
 
-def _k_rounding(v: Vec3, c: float) -> float:
+@functools.lru_cache(maxsize=64)
+def _k_rounding(vx: float, vy: float, vz: float, c: float) -> float:
     """A bound on |k - (c^2 - v.v)| for k = c*c - v.v as _separation
     forms it: the exact errors of its six roundings, summed by fsum to
     within u of their sum, which 1 + EPS covers.  Exact wherever no
-    product of v's components underflows."""
+    product of v's components underflows.  Cached: it depends on the
+    charge's v and the medium's c alone, and runs at every row."""
     cc, e_cc = _two_product(c, c)
-    px, e_x = _two_product(v.x, v.x)
-    py, e_y = _two_product(v.y, v.y)
-    pz, e_z = _two_product(v.z, v.z)
+    px, e_x = _two_product(vx, vx)
+    py, e_y = _two_product(vy, vy)
+    pz, e_z = _two_product(vz, vz)
     s, e_s = _two_sum(px, py)
     vv, e_vv = _two_sum(s, pz)
     _, e_k = _two_sum(cc, -vv)
