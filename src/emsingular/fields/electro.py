@@ -30,12 +30,13 @@ def dipole_potential(dip: DipoleSource, y: Point3,
     coincidence floor and for the value.
 
     Rounding (u = EPS / 2, libm within 2u): s = y - x0 is within u of
-    y - x0 in each component.  m . s, two sums of three products, is
+    y - x0 in each component.  m . s, three products and two sums, is
     then within 4u of the exact m . (y - x0) times A = sum_i |m_i s_i|,
-    not |m . s|, which cancels near the equatorial plane.  |s| is within
-    3u of |y - x0| from the sum of squares and the root, and 0.5u more
-    from s, so d^3 is within 12.5u of |y - x0|^3, pow included; 4 pi
-    (pi rounds by 0.36u), the two products and the quotient add 3.4u:
+    not |m . s|, which cancels near the equatorial plane.  d = |s| is
+    within 2.5u of itself from the sum of squares and the root, and u
+    more from s, so d^3 is within 12.5u of |y - x0|^3, pow included;
+    4 pi (pi rounds by 0.36u), the two products and the quotient add
+    3.4u:
 
         |dphi| <= EPS * (2.5 A + 8.5 |m . s|) / (4 pi eps d^3),
 
@@ -57,7 +58,8 @@ def dipole_potential(dip: DipoleSource, y: Point3,
     num = px + py + pz
     den = 4.0 * math.pi * medium.eps * d3
     if d3 < math.inf:
-        err = EPS * (2.5 * (abs(px) + abs(py) + abs(pz)) + 8.5 * abs(num)) / den
+        size = abs(px) + abs(py) + abs(pz)
+        err = EPS * (2.5 * size + 8.5 * abs(num)) / den
     else:
         err = (2.0 * (abs(m.x) + abs(m.y) + abs(m.z))
                / (4.0 * math.pi * medium.eps * d) / d)

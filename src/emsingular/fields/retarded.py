@@ -181,9 +181,9 @@ def rounding_bound(src: PointSource, y: Point3, t: float,
     rho' = rho / sqrt(1 - eta), since D(w) >= sqrt(1 - eta) times the
     D formed.  R - 1 is a relative bound that times |phi| bounds the
     error of phi, and times |a| that of each component of a.  Where
-    eta or rho' reaches 1, nothing bounds D, and both bounds are inf;
-    at the last float speed below c, k is within ~10% of c^2 - v.v,
-    and both stay finite.
+    eta or rho' reaches 1, nothing bounds D, and both bounds are inf.
+    At the last float speed below c, where k keeps only a few bits,
+    dk is ~10% of k, so eta stays near 0.1 where w is normal to v.
     """
     c = medium.c
     v = src.v
@@ -191,8 +191,8 @@ def rounding_bound(src: PointSource, y: Point3, t: float,
     vv = vx * vx + vy * vy + vz * vz
     _, _, _, wx, wy, wz, s, k, wv, w2, disc = _separation(src, y, t, c, True)
     e = 2.0 * EPS * math.sqrt(w2 * vv)
-    eta = ((2.0 * abs(wv) * e + 3.0 * e * e + _k_rounding(vx, vy, vz, c) * w2)
-           / disc + 3.0 * EPS)
+    dk = _k_rounding(vx, vy, vz, c)
+    eta = (2.0 * abs(wv) * e + 3.0 * e * e + dk * w2) / disc + 3.0 * EPS
     dx, dy, dz = _w_rounding(src, y, t)
     dx, dy, dz = dx * s, dy * s, dz * s
     dv = dx * vx + dy * vy + dz * vz
