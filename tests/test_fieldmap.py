@@ -122,8 +122,8 @@ def test_one_source_row_writes_its_error(source):
     assert row["status"] == "ok"
     res = part.evaluate(point, 0.0)
     if source is MOVING_CHARGE:
-        src = uniform_point_charge(1e-9, Point3(0.0, -1.0, 0.5),
-                                   Vec3(3e7, 6e7, 0.0))
+        src = uniform_point_charge(source["q"], Point3(*source["position"]),
+                                   Vec3(*source["velocity"]))
         want = retarded.rounding_bound(src, point, 0.0, res, scene.medium)[0]
     else:
         want = res.error
