@@ -8,7 +8,8 @@ carries a status:
     on_support    the point sits on (or within 3 fd steps of) a source;
                   derivative columns are refused, potentials evaluated
                   when the point is strictly off the support
-    unconverged   a quadrature failed to reach tolerance; values written
+    unconverged   a quadrature failed to reach tolerance, or the row's
+                  error is not finite; values written
     out_of_domain the point (or its difference stencil) leaves a
                   source's domain of validity (plate gap)
 
@@ -16,11 +17,12 @@ Converged rows contain no NaN; refused cells in flagged rows are NaN,
 and a row whose stencil is refused writes every derivative column NaN.
 Each source returns one PotentialResult, and the row reads its a, phi,
 error, converged and b by name: quad_error is the sum of the sources'
-errors at the row point, and a source that did not converge makes the
-row unconverged.  b comes from the sources: each returns its own field
-with its potentials at the row point (the Biot-Savart integral, in
-closed form or on the potential's quadrature nodes), or None where it
-has none, and the row sums the fields formed.
+errors at the row point, and a source that did not converge, or an
+error that is not finite, makes the row unconverged.  b comes from the
+sources: each returns its own field with its potentials at the row
+point (the Biot-Savart integral, in closed form or on the potential's
+quadrature nodes), or None where it has none, and the row sums the
+fields formed.
 e and the gauge residual are central differences of the summed
 potentials with step h = fd_step(point), so superposition holds
 row-wise to rounding.  They share one stencil, evaluated as plain
@@ -40,7 +42,7 @@ from . import sources
 from .errors import (ConvergenceError, OnSupportError, OutOfDomainError)
 from .fields import electro, magneto, retarded
 from .fields.medium import MediumConstants
-from .geometry import Point3, Vec3, cylinder_band_distance, segment_distance
+from .geometry import Point3, Vec3, cylinder_band_distance
 from .quad import QuadConfig
 from .scene import Scene
 
@@ -141,8 +143,7 @@ def _build_part(s: dict, medium: MediumConstants,
             return magneto.curve_potential(src, y, cfg, medium, want_b)
 
         def near(y: Point3, t: float, radius: float) -> bool:
-            return any(segment_distance(y, p0, p1) < radius
-                       for p0, p1 in zip(chain[:-1], chain[1:]))
+            return magneto.polyline_distance(chain, y) < radius
 
         return SourcePart(kind, evaluate, near)
 
@@ -252,7 +253,8 @@ def compute_row(scene: Scene, parts: list[SourcePart],
         err_val = 0.0
         for part, res in zip(parts, results):
             err_val += part.error(point, t, res) if part.error else res.error
-        if not all(res.converged for res in results):
+        if (not all(res.converged for res in results)
+                or not math.isfinite(err_val)):
             status = "unconverged"
     except OnSupportError:
         status = "on_support"

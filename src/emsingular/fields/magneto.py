@@ -17,7 +17,8 @@ stays as the independent route.
 All results are exterior to the source; evaluation on or numerically
 against the support raises OnSupportError.  The source geometry decides
 that proximity guard: the exact distance for a loop, a solenoid sheet
-and a polyline (its segments); for a helix the distance to the band of
+and a polyline, whose segments' distances come from the same geometry
+pass that sums its closed form; for a helix the distance to the band of
 the cylinder that carries it, with a sampled scan of the wire only when
 the point is that close to the band.  Other curves are scanned.
 """
@@ -30,8 +31,7 @@ from typing import Callable
 from .. import exterior3, kernels
 from .._core import helix_integrals, loop_phi_integral, solenoid_integrals
 from ..errors import InvalidGeometryError, OnSupportError
-from ..geometry import (Point3, Vec3, cyl_to_cart, cylinder_band_distance,
-                        segment_distance)
+from ..geometry import Point3, Vec3, cyl_to_cart, cylinder_band_distance
 from ..quad import QuadConfig, integrate_adaptive
 from ..sources import CurveSource
 from .base import PotentialResult
@@ -40,7 +40,7 @@ from .medium import VACUUM, MediumConstants
 FOUR_PI = 4.0 * math.pi
 EPS = 2.0 ** -52
 # rounding bound of the polyline closed form per segment, in units of
-# EPS; see _segment_integral
+# EPS; see _polyline_potential
 SEGMENT_ERROR_C = 16.0
 
 
@@ -182,24 +182,20 @@ def curve_potential(src: CurveSource, y: Point3,
 
     Integrates mu * i0 * kernel(y, x(s)) * W(s) * omega_f(d/ds) over the
     chart.  A polyline takes the closed form of each straight segment
-    (_segment_integral), and its distance to y is exact over those
-    segments; with want_b it also sums each segment's Biot-Savart field
-    (_segment_field).  Any other curve takes the adaptive chart
-    quadrature for a alone (b is None), and its distance is scanned
-    (min_distance_to_curve).
+    (_polyline_potential), which also gives its exact distance to y;
+    with want_b it also sums each segment's Biot-Savart field.  Any
+    other curve takes the adaptive chart quadrature for a alone (b is
+    None), and its distance is scanned (min_distance_to_curve).
     """
     cfg = cfg or QuadConfig()
-    s0, s1 = src.chart
-    scale = max(abs(v) for pt in (src.point(s0), src.point(s1))
-                for v in pt.as_tuple())
-    floor = _support_floor(max(scale, 1.0))
     if src.kind == "polyline":
         chain = src.params["vertices"]
-        segments = list(zip(chain[:-1], chain[1:]))
-        _refuse_on_support(min(segment_distance(y, p0, p1)
-                               for p0, p1 in segments), floor)
-        return _polyline_potential(segments, src.i0, y, medium, want_b)
-    _refuse_on_support(min_distance_to_curve(src.point, s0, s1, y), floor)
+        return _polyline_potential(chain, src.i0, y,
+                                   _curve_floor(chain[0], chain[-1]),
+                                   medium, want_b)
+    s0, s1 = src.chart
+    _refuse_on_support(min_distance_to_curve(src.point, s0, s1, y),
+                       _curve_floor(src.point(s0), src.point(s1)))
     comps = [0.0, 0.0, 0.0]
     err = 0.0
     evals = 0
@@ -221,47 +217,39 @@ def curve_potential(src: CurveSource, y: Point3,
                            diagnostics={"evaluations": evals})
 
 
-def _polyline_potential(segments: list[tuple[Point3, Point3]], i0: float,
-                        y: Point3, medium: MediumConstants,
+def _curve_floor(start: Point3, end: Point3) -> float:
+    """The support floor of a curve, scaled by its end points."""
+    return _support_floor(max(abs(v) for pt in (start, end)
+                              for v in pt.as_tuple()))
+
+
+def polyline_distance(chain: tuple[Point3, ...], y: Point3) -> float:
+    """Distance from y to the polyline through the vertex chain."""
+    return min(_segment_geometry(y, p0, p1)[0]
+               for p0, p1 in zip(chain[:-1], chain[1:]))
+
+
+def _polyline_potential(chain: tuple[Point3, ...], i0: float, y: Point3,
+                        floor: float, medium: MediumConstants,
                         want_b: bool) -> PotentialResult:
-    """(mu i0 / 4 pi) * sum_k v_k u_k over the straight segments, with
-    v_k = int ds / |y - x(s)| along segment k and u_k its direction;
-    with want_b also b = (mu i0 / 4 pi) * sum_k of _segment_field.
+    """(mu i0 / 4 pi) * sum_k v_k u_k over the straight segments of the
+    vertex chain, with v_k = int ds / |y - x(s)| along segment k and u_k
+    its direction; with want_b also the Biot-Savart field
+    b = (mu i0 / 4 pi) * sum_k int u_k x (y - x(s)) / |y - x(s)|^3 ds.
 
-    error bounds the rounding of every component of a:
-    |mu i0 / 4 pi| * SEGMENT_ERROR_C * EPS * sum_k (1 + |v_k| + kappa_k).
-    """
-    xs, ys, zs = [], [], []
-    size = 0.0
-    for p0, p1 in segments:
-        v, (ux, uy, uz), kappa = _segment_integral(y, p0, p1)
-        xs.append(v * ux)
-        ys.append(v * uy)
-        zs.append(v * uz)
-        size += 1.0 + abs(v) + kappa
-    pref = medium.mu * i0 / FOUR_PI
-    vec = Vec3(pref * math.fsum(xs), pref * math.fsum(ys),
-               pref * math.fsum(zs))
-    b = None
-    if want_b:
-        fields = [_segment_field(y, p0, p1) for p0, p1 in segments]
-        b = Vec3(*(pref * math.fsum(f[i] for f in fields) for i in range(3)))
-    return PotentialResult(y, vec,
-                           error=abs(pref) * SEGMENT_ERROR_C * EPS * size,
-                           converged=True, diagnostics={"evaluations": 0},
-                           b=b)
+    Each segment's geometry comes once from _segment_geometry, and a
+    point nearer to the segment than `floor` is refused before anything
+    divides by d.  With L, l0, l1, R0, R1, d and c as there:
 
+    v = asinh(-l1 / d) + asinh(l0 / d) between the ends.  Beyond p0
+    (l0 <= 0) v = ln((R1 - l1) / (R0 - l0)), beyond p1 (l1 >= 0)
+    v = ln((R0 + l0) / (R1 + l1)): each branch adds like-signed terms.
 
-def _segment_integral(y: Point3, p0: Point3, p1: Point3
-                      ) -> tuple[float, tuple[float, float, float], float]:
-    """(v, u, kappa) for the straight segment from p0 to p1.
-
-    v = int_0^L ds / |y - p0 - s u| = asinh((L - l)/d) + asinh(l/d),
-    u the unit direction, L the length, l = (y - p0) . u and d the
-    distance from the line.  Each branch adds like-signed terms only:
-    beyond p0 (l <= 0) v = ln((R1 + L - l) / (R0 - l)), beyond p1
-    (l >= L) v = ln((R0 + l) / (R1 + l - L)), R0 = |y - p0| and
-    R1 = |y - p1|; l is projected from p0 and l - L from p1.
+    u x (y - x(s)) = c for every s, and int ds / R^3 = K.  Between the
+    ends K = (l0 / R0 - l1 / R1) / |c|^2, a sum of like signs.  Beyond
+    them l0 and l1 share a sign, and K = L (l0 + l1) / (R0 R1 (l0 R1 +
+    l1 R0)), which adds like signs and does not divide by d: on the
+    line's extension c is 0, and so is the field.
 
     Rounding: each R_i and projection is within a few ulps of R_i, so
     a log ratio is off by at most ~15 u (u = EPS / 2) plus the
@@ -271,42 +259,62 @@ def _segment_integral(y: Point3, p0: Point3, p1: Point3
     and the asinh pair multiplies that by at most 2 / d: the problem
     itself is that ill-conditioned near a segment.  kappa = min(R0,
     R1) / d there (0 beyond the ends), so |dv| <= EPS * (8 + |v| +
-    5 kappa), and forming pref * sum v_k u_k adds ~4 EPS |v_k|.
+    5 kappa), and forming pref * sum v_k u_k adds ~4 EPS |v_k|.  error
+    bounds the rounding of every component of a:
+    |mu i0 / 4 pi| * SEGMENT_ERROR_C * EPS * sum_k (1 + |v_k| + kappa_k).
     """
-    dx, dy, dz = p1.x - p0.x, p1.y - p0.y, p1.z - p0.z
-    length = math.hypot(dx, dy, dz)
-    ux, uy, uz = dx / length, dy / length, dz / length
-    ax, ay, az = y.x - p0.x, y.y - p0.y, y.z - p0.z
-    bx, by, bz = y.x - p1.x, y.y - p1.y, y.z - p1.z
-    r0 = math.hypot(ax, ay, az)
-    r1 = math.hypot(bx, by, bz)
-    l0 = ax * ux + ay * uy + az * uz
-    l1 = bx * ux + by * uy + bz * uz
-    if l0 <= 0.0:
-        return math.log((r1 - l1) / (r0 - l0)), (ux, uy, uz), 0.0
-    if l1 >= 0.0:
-        return math.log((r0 + l0) / (r1 + l1)), (ux, uy, uz), 0.0
-    near = r0
-    if r1 < r0:
-        ax, ay, az, near = bx, by, bz, r1
-    d = math.hypot(ay * uz - az * uy, az * ux - ax * uz, ax * uy - ay * ux)
-    return (math.asinh(-l1 / d) + math.asinh(l0 / d), (ux, uy, uz),
-            near / d)
+    xs, ys, zs = [], [], []
+    bxs, bys, bzs = [], [], []
+    size = 0.0
+    for p0, p1 in zip(chain[:-1], chain[1:]):
+        (d, length, ux, uy, uz, r0, r1, l0, l1,
+         cx, cy, cz) = _segment_geometry(y, p0, p1)
+        _refuse_on_support(d, floor)
+        if l0 <= 0.0 or l1 >= 0.0:
+            if l0 <= 0.0:
+                v = math.log((r1 - l1) / (r0 - l0))
+            else:
+                v = math.log((r0 + l0) / (r1 + l1))
+            kappa = 0.0
+            if want_b:
+                k = length * (l0 + l1) / (r0 * r1 * (l0 * r1 + l1 * r0))
+        else:
+            v = math.asinh(-l1 / d) + math.asinh(l0 / d)
+            kappa = min(r0, r1) / d
+            if want_b:
+                k = (l0 / r0 - l1 / r1) / (cx * cx + cy * cy + cz * cz)
+        xs.append(v * ux)
+        ys.append(v * uy)
+        zs.append(v * uz)
+        size += 1.0 + abs(v) + kappa
+        if want_b:
+            bxs.append(cx * k)
+            bys.append(cy * k)
+            bzs.append(cz * k)
+    pref = medium.mu * i0 / FOUR_PI
+    vec = Vec3(pref * math.fsum(xs), pref * math.fsum(ys),
+               pref * math.fsum(zs))
+    b = None
+    if want_b:
+        b = Vec3(pref * math.fsum(bxs), pref * math.fsum(bys),
+                 pref * math.fsum(bzs))
+    return PotentialResult(y, vec,
+                           error=abs(pref) * SEGMENT_ERROR_C * EPS * size,
+                           converged=True, diagnostics={"evaluations": 0},
+                           b=b)
 
 
-def _segment_field(y: Point3, p0: Point3, p1: Point3
-                   ) -> tuple[float, float, float]:
-    """int_0^L u x (y - x(s)) / |y - x(s)|^3 ds for the straight segment
-    from p0 to p1, x(s) = p0 + s u: the Biot-Savart field of a unit
-    current, without mu / 4 pi.
+def _segment_geometry(y: Point3, p0: Point3, p1: Point3) -> tuple:
+    """(d, L, ux, uy, uz, R0, R1, l0, l1, cx, cy, cz) for y and the
+    straight segment from p0 to p1, formed once for the guard, the
+    potential and the field.
 
-    u x (y - x(s)) = u x (y - p) for either end p, taken from the
-    nearer one, and int ds / R^3 = K.  With l0, l1, R0, R1 and d as in
-    _segment_integral, K = (l0 / R0 - l1 / R1) / d^2 between the ends,
-    a sum of like signs.  Beyond them l0 and l1 share a sign, and
-    K = L (l0 + l1) / (R0 R1 (l0 R1 + l1 R0)), which adds like signs
-    and does not divide by d: on the line's extension u x (y - p) is 0,
-    and so is the field.
+    u is the unit direction and L the length; R0 = |y - p0|,
+    R1 = |y - p1|; l0 = (y - p0) . u and l1 = (y - p1) . u, each
+    projected from its own end; c = u x (y - p) with p the nearer end.
+    d is the distance from y to the segment: R0 beyond p0 (l0 <= 0),
+    R1 beyond p1 (l1 >= 0), and between the ends |c|, the distance
+    from the line.  No logarithm is formed here.
     """
     dx, dy, dz = p1.x - p0.x, p1.y - p0.y, p1.z - p0.z
     length = math.hypot(dx, dy, dz)
@@ -320,11 +328,13 @@ def _segment_field(y: Point3, p0: Point3, p1: Point3
     if r1 < r0:
         ax, ay, az = bx, by, bz
     cx, cy, cz = uy * az - uz * ay, uz * ax - ux * az, ux * ay - uy * ax
-    if l0 <= 0.0 or l1 >= 0.0:
-        k = length * (l0 + l1) / (r0 * r1 * (l0 * r1 + l1 * r0))
+    if l0 <= 0.0:
+        d = r0
+    elif l1 >= 0.0:
+        d = r1
     else:
-        k = (l0 / r0 - l1 / r1) / (cx * cx + cy * cy + cz * cz)
-    return cx * k, cy * k, cz * k
+        d = math.hypot(cx, cy, cz)
+    return d, length, ux, uy, uz, r0, r1, l0, l1, cx, cy, cz
 
 
 # ---------------------------------------------------------------------------

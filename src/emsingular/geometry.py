@@ -126,19 +126,3 @@ def cylinder_band_distance(a: float, z_lo: float, z_hi: float,
     dz = z - z_hi if z > z_hi else z_lo - z
     return math.hypot(r - a, dz)
 
-
-def segment_distance(y: Point3, p0: Point3, p1: Point3) -> float:
-    """Distance from y to the segment from p0 to p1.
-
-    Written out in floats: this is the polyline proximity guard, run on
-    every segment at every evaluation."""
-    dx, dy, dz = p1.x - p0.x, p1.y - p0.y, p1.z - p0.z
-    ex, ey, ez = y.x - p0.x, y.y - p0.y, y.z - p0.z
-    L2 = dx * dx + dy * dy + dz * dz
-    if L2 == 0.0:
-        return math.sqrt(ex * ex + ey * ey + ez * ez)
-    u = max(0.0, min(1.0, (ex * dx + ey * dy + ez * dz) / L2))
-    fx = y.x - (p0.x + dx * u)
-    fy = y.y - (p0.y + dy * u)
-    fz = y.z - (p0.z + dz * u)
-    return math.sqrt(fx * fx + fy * fy + fz * fz)

@@ -90,9 +90,6 @@ class PlateGreen:
         if self.tol <= 0.0:
             raise ValueError("tol must be positive")
 
-    def __call__(self, x: Point3, y: Point3) -> float:
-        return plate_green(x, y, self)
-
 
 def plate_green(x: Point3, y: Point3, cfg: PlateGreen) -> float:
     """Evaluate the slab kernel at a pair of points.

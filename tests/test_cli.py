@@ -346,6 +346,58 @@ def test_run_near_support_keeps_potential_refuses_derivative(tmp_path):
     assert row["b_z"] == "nan"     # derivative was refused
 
 
+def test_run_row_two_steps_from_a_polyline_segment_is_on_support(tmp_path):
+    # h = 1e-3 here; 2 h from the segment the row's own evaluation is
+    # far off the floor, and the derivative guard (near) refuses b
+    scene = write_scene(tmp_path, """\
+    schema: 1
+    sources:
+      - type: polyline
+        current: 1.5
+        points: [[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]
+    grid:
+      x: 0.5
+      y: {start: 0.002, stop: 0.5, count: 2}
+      z: 0.0
+    outputs: [a, b]
+    """)
+    out = tmp_path / "map.csv"
+    assert cli.main(["run", "--scene", scene, "--out", str(out)]) == 2
+    near, far = read_rows(out)
+    assert near["status"] == "on_support"
+    assert near["a_x"] != "nan"     # potential was computed
+    assert near["b_z"] == "nan"     # derivative was refused
+    assert far["status"] == "ok"
+    assert far["b_z"] != "nan"
+
+
+def test_run_row_whose_error_is_not_finite_is_unconverged(tmp_path, capsys):
+    # at the last float speed below c the charge's position x0 + t v
+    # rounds by ~3e-8 m along v, and at gamma ~7e7 that moves D by most
+    # of itself: the rounding bound is inf, and such a row is not ok
+    scene = write_scene(tmp_path, """\
+    schema: 1
+    sources:
+      - type: point_charge
+        q: 1.0e-9
+        position: [-410715667.46, 0.0, 0.0]
+        velocity: [299792457.99999994, 0.0, 0.0]
+    grid:
+      x: 0.0
+      y: {start: 0.37, stop: 1.0, count: 2}
+      z: 0.0
+      time: 1.37
+    outputs: [phi, a]
+    """)
+    out = tmp_path / "map.csv"
+    assert cli.main(["run", "--scene", scene, "--out", str(out)]) == 2
+    assert "2 of 2 rows flagged" in capsys.readouterr().err
+    for row in read_rows(out):
+        assert row["quad_error"] == "inf"
+        assert row["status"] == "unconverged"
+        assert row["phi"] != "nan"     # values written
+
+
 def test_run_doc_format(tmp_path):
     scene = write_scene(tmp_path, LOOP_SCENE)
     out = tmp_path / "map.json"

@@ -279,17 +279,24 @@ def test_curve_potential_on_support_refused():
         magneto.curve_potential(src, Point3(0.0, 0.0, 1.0), CFG)
 
 
-@pytest.mark.parametrize("y", [
-    Point3(1.0, 0.37, 1e-9),     # inside a segment
-    Point3(1.0, 1.0, 1e-9),      # at a vertex
-    Point3(0.0, 0.61, 1e-9),     # on the closing segment back to the start
-], ids=["segment", "vertex", "closing_segment"])
-def test_closed_polyline_refuses_points_on_its_segments(y):
+@pytest.mark.parametrize("closed, y", [
+    (True, Point3(1.0, 0.37, 1e-9)),      # inside a segment
+    (True, Point3(1.0, 1.0, 1e-9)),       # at a vertex
+    (True, Point3(0.0, 0.61, 1e-9)),      # on the closing segment
+    (False, Point3(-5e-9, 1.0, 0.0)),     # on the last line, past its end
+    (False, Point3(1.0 + 3e-9, 1.0 + 4e-9, 0.0)),  # off an inner vertex
+], ids=["segment", "vertex", "closing_segment", "open_past_end",
+        "open_inner_vertex"])
+def test_closed_polyline_refuses_points_on_its_segments(closed, y):
+    # the floor is 1e-8 here; beyond a segment's ends its distance is
+    # R0 or R1, so a point on its line is refused before anything
+    # divides by the distance from that line, which is 0 there
     square = [Point3(0, 0, 0), Point3(1, 0, 0), Point3(1, 1, 0),
               Point3(0, 1, 0)]
-    src = polyline(square, 1.0, closed=True)
-    with pytest.raises(OnSupportError):
-        magneto.curve_potential(src, y, CFG)
+    src = polyline(square, 1.0, closed=closed)
+    for want_b in (False, True):
+        with pytest.raises(OnSupportError):
+            magneto.curve_potential(src, y, CFG, want_b=want_b)
 
 
 # ---------------------------------------------------------------------------

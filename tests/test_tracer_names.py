@@ -94,6 +94,8 @@ def test_traced_names_count_every_source_evaluation(tmp_path, monkeypatch):
                  "emsingular.fields.retarded.lienard_wiechert"):
         assert calls[name] == 9 * 12, name
     assert calls["emsingular.fields.retarded.solve_retarded_time"] == 0
+    # the wire's image series is summed in closed form
+    assert calls["emsingular.fields.electro.sum_series"] == 0
 
 
 def test_traced_names_count_every_magnetic_evaluation(tmp_path, monkeypatch):
@@ -137,6 +139,36 @@ def test_traced_names_count_every_magnetic_evaluation(tmp_path, monkeypatch):
                  "emsingular.fieldmap.build_parts",
                  "emsingular.fieldmap.write_csv"):
         assert calls[name] == 1, name
+
+
+def test_traced_names_count_every_polyline_evaluation(tmp_path, monkeypatch):
+    # closed circuits as the benchmark draws them, each closed by
+    # repeating its first vertex, with [a] only: each row evaluates
+    # every polyline once in closed form, with no chart quadrature, no
+    # free kernel and no sampled scan of the curve
+    calls, statuses = counted_run(tmp_path, monkeypatch, """\
+    schema: 1
+    sources:
+      - type: polyline
+        current: 1.5
+        points: [[2.0, -0.5, 0.0], [3.0, -0.5, 0.0], [3.0, 0.5, 0.0],
+                 [2.0, 0.5, 0.0], [2.0, -0.5, 0.0]]
+      - type: polyline
+        current: -0.8
+        points: [[-1.0, 0.2, 0.4], [-0.6, 0.9, 0.5], [-1.4, 1.1, 0.3],
+                 [-1.0, 0.2, 0.4]]
+    grid:
+      x: {start: 0.0, stop: 1.0, count: 3}
+      y: {start: -1.0, stop: 1.0, count: 2}
+      z: 0.25
+    outputs: [a]
+    """)
+    assert statuses == ["ok"] * 6
+    assert calls["emsingular.fields.magneto.curve_potential"] == 6 * 2
+    for name in ("emsingular.fields.magneto.integrate_adaptive",
+                 "emsingular.kernels.free_kernel",
+                 "emsingular.fields.magneto.min_distance_to_curve"):
+        assert calls[name] == 0, name
 
 
 @pytest.mark.parametrize("x, scans", [(0.502, 1), (0.9, 0)])
