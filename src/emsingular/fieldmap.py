@@ -59,14 +59,16 @@ class SourcePart:
     """One scene source turned into evaluator callables.
 
     evaluate(point, t, want_b) -> PotentialResult  (the evaluator's own)
-    near(point, t, radius) -> bool   (within radius of the singular support)
+    near(point, t, radius, res) -> bool
+        (within radius of the singular support; res is the part's
+        result at that point, from which a polyline reads its distance)
     error(point, t, res) -> float    (where given)
 
     The result's b is the source's magnetic field, or None where the
-    source forms none.  The closed forms (polyline, moving charge) form
-    it only when want_b is true; the quadratures (loop, helix, sheet)
-    form it on the potential's nodes either way; the electric sources
-    and a static charge have none.  A point charge's phi, a and b all
+    source forms none.  The closed forms (polyline, moving charge) and
+    the quadratures (loop, helix, sheet, on the potential's nodes) form
+    it only when want_b is true; the electric sources and a static
+    charge have none.  A point charge's phi, a and b all
     come from one call of retarded.lienard_wiechert, from the charge's
     present position.
 
@@ -101,9 +103,9 @@ def _build_part(s: dict, medium: MediumConstants,
         a, cur, cz = s["radius"], s["current"], s["center_z"]
 
         def evaluate(y: Point3, t: float, want_b: bool = False):
-            return magneto.loop_potential(a, cur, y, cfg, cz, medium)
+            return magneto.loop_potential(a, cur, y, cfg, cz, medium, want_b)
 
-        def near(y: Point3, t: float, radius: float) -> bool:
+        def near(y: Point3, t: float, radius: float, res) -> bool:
             return math.hypot(y.r - a, y.z - cz) < radius
 
         return SourcePart(kind, evaluate, near)
@@ -114,9 +116,9 @@ def _build_part(s: dict, medium: MediumConstants,
 
         def evaluate(y: Point3, t: float, want_b: bool = False):
             return magneto.helix_potential(a, p, length, cur, y, cfg, s0,
-                                           medium)
+                                           medium, want_b)
 
-        def near(y: Point3, t: float, radius: float) -> bool:
+        def near(y: Point3, t: float, radius: float, res) -> bool:
             return magneto.helix_distance(a, p, length, s0, y,
                                           radius) < radius
 
@@ -127,9 +129,9 @@ def _build_part(s: dict, medium: MediumConstants,
 
         def evaluate(y: Point3, t: float, want_b: bool = False):
             return magneto.solenoid_potential(a, p, length, k0, y, cfg,
-                                              medium)
+                                              medium, want_b)
 
-        def near(y: Point3, t: float, radius: float) -> bool:
+        def near(y: Point3, t: float, radius: float, res) -> bool:
             return cylinder_band_distance(a, 0.0, length, y) < radius
 
         return SourcePart(kind, evaluate, near)
@@ -137,13 +139,12 @@ def _build_part(s: dict, medium: MediumConstants,
     if kind == "polyline":
         pts = [Point3(*p) for p in s["points"]]
         src = sources.polyline(pts, s["current"], s["closed"])
-        chain = src.params["vertices"]
 
         def evaluate(y: Point3, t: float, want_b: bool = False):
             return magneto.curve_potential(src, y, cfg, medium, want_b)
 
-        def near(y: Point3, t: float, radius: float) -> bool:
-            return magneto.polyline_distance(chain, y) < radius
+        def near(y: Point3, t: float, radius: float, res) -> bool:
+            return res.diagnostics["distance"] < radius
 
         return SourcePart(kind, evaluate, near)
 
@@ -153,7 +154,7 @@ def _build_part(s: dict, medium: MediumConstants,
         def evaluate(y: Point3, t: float, want_b: bool = False):
             return electro.plate_wire_potential(z0, lam, gap, y, medium)
 
-        def near(y: Point3, t: float, radius: float) -> bool:
+        def near(y: Point3, t: float, radius: float, res) -> bool:
             return math.hypot(y.x, y.z - z0) < radius
 
         return SourcePart(kind, evaluate, near)
@@ -173,7 +174,7 @@ def _build_part(s: dict, medium: MediumConstants,
         def error(y: Point3, t: float, res) -> float:
             return retarded.rounding_bound(src, y, t, res, medium)[0]
 
-        def near(y: Point3, t: float, radius: float) -> bool:
+        def near(y: Point3, t: float, radius: float, res) -> bool:
             return (y - src.position(t)).norm() < radius
 
         return SourcePart(kind, evaluate, near, time_dependent=moving,
@@ -186,7 +187,7 @@ def _build_part(s: dict, medium: MediumConstants,
         def evaluate(y: Point3, t: float, want_b: bool = False):
             return electro.dipole_potential(dip, y, medium)
 
-        def near(y: Point3, t: float, radius: float) -> bool:
+        def near(y: Point3, t: float, radius: float, res) -> bool:
             return (y - dip.location).norm() < radius
 
         return SourcePart(kind, evaluate, near)
@@ -265,8 +266,8 @@ def compute_row(scene: Scene, parts: list[SourcePart],
 
     wants_derivative = any(o in scene.outputs for o in _DERIVATIVE_OUTPUTS)
     derivatives_ok = wants_derivative and status == "ok"
-    if derivatives_ok and any(part.near(point, t, 3.0 * h)
-                              for part in parts):
+    if derivatives_ok and any(part.near(point, t, 3.0 * h, res)
+                              for part, res in zip(parts, results)):
         status = "on_support"
         derivatives_ok = False
 

@@ -50,7 +50,8 @@ def _support_floor(scale: float) -> float:
 
 def loop_potential(radius: float, current: float, y: Point3,
                    cfg: QuadConfig | None = None, center_z: float = 0.0,
-                   medium: MediumConstants = VACUUM) -> PotentialResult:
+                   medium: MediumConstants = VACUUM,
+                   want_b: bool = True) -> PotentialResult:
     """Vector potential and field of a circular loop about the z axis.
 
     By symmetry only a_phi, b_r and b_z survive:
@@ -63,7 +64,8 @@ def loop_potential(radius: float, current: float, y: Point3,
                       * int_0^{2pi} (radius - r cos psi) dpsi / dist(psi)^3
 
     with dist the chord from the field point to the loop point at
-    azimuth offset psi, z taken from the loop's plane.
+    azimuth offset psi, z taken from the loop's plane.  Without want_b
+    only a_phi is integrated, and b is None.
     """
     if radius <= 0.0:
         raise InvalidGeometryError("loop radius must be positive")
@@ -74,19 +76,30 @@ def loop_potential(radius: float, current: float, y: Point3,
     if d < _support_floor(a):
         raise OnSupportError("field point lies on the loop (distance %g)" % d)
     val, j_r, j_z, err, b_err, evals, ok = loop_phi_integral(
-        r, z, a, cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions)
+        r, z, a, cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions, want_b)
     pref = medium.mu * current * a / FOUR_PI
     vec = cyl_to_cart(0.0, pref * val, 0.0, y.phi)
-    b = cyl_to_cart(pref * j_r, 0.0, pref * j_z, y.phi)
+    b = cyl_to_cart(pref * j_r, 0.0, pref * j_z, y.phi) if want_b else None
+    return _chart_result(y, vec, b, pref, err, b_err, evals, ok)
+
+
+def _chart_result(y: Point3, vec: Vec3, b: Vec3 | None, pref: float,
+                  err: float, b_err: float | None, evals: int,
+                  ok: int) -> PotentialResult:
+    """The result of a chart quadrature, its errors scaled by |pref|;
+    b_error only with b."""
+    diagnostics = {"evaluations": evals}
+    if b is not None:
+        diagnostics["b_error"] = abs(pref) * b_err
     return PotentialResult(y, vec, error=abs(pref) * err, converged=bool(ok),
-                           diagnostics={"b_error": abs(pref) * b_err,
-                                        "evaluations": evals}, b=b)
+                           diagnostics=diagnostics, b=b)
 
 
 def helix_potential(radius: float, pitch: float, length: float,
                     current: float, y: Point3,
                     cfg: QuadConfig | None = None, sigma0: float = 0.0,
-                    medium: MediumConstants = VACUUM) -> PotentialResult:
+                    medium: MediumConstants = VACUUM,
+                    want_b: bool = True) -> PotentialResult:
     """Vector potential and field of a unit-speed helical wire.
 
     The wire is (radius cos(P s), radius sin(P s), pitch s) for s in
@@ -100,7 +113,8 @@ def helix_potential(radius: float, pitch: float, length: float,
 
     with R the chordal distance from the field point y to the wire
     point x and t the unit tangent; helix_integrals gives the
-    components of b.
+    components of b.  Without want_b they are not integrated, and b is
+    None.
     """
     if not (0.0 < pitch < 1.0):
         raise InvalidGeometryError("pitch fraction must lie in (0, 1)")
@@ -114,22 +128,22 @@ def helix_potential(radius: float, pitch: float, length: float,
     i_sin, i_cos, i_one, j_r, j_phi, j_z, err, b_err, evals, ok = \
         helix_integrals(y.r, y.phi, y.z, a, p, big_p, sigma0,
                         sigma0 + length, cfg.abs_tol, cfg.rel_tol,
-                        cfg.max_subdivisions)
+                        cfg.max_subdivisions, want_b)
     pref = medium.mu * current / FOUR_PI
     a_r = -pref * a * big_p * i_sin
     a_phi = pref * a * big_p * i_cos
     a_z = pref * p * i_one
     vec = cyl_to_cart(a_r, a_phi, a_z, y.phi)
-    b = cyl_to_cart(pref * j_r, pref * j_phi, pref * j_z, y.phi)
-    return PotentialResult(y, vec, error=abs(pref) * err, converged=bool(ok),
-                           diagnostics={"b_error": abs(pref) * b_err,
-                                        "evaluations": evals}, b=b)
+    b = (cyl_to_cart(pref * j_r, pref * j_phi, pref * j_z, y.phi)
+         if want_b else None)
+    return _chart_result(y, vec, b, pref, err, b_err, evals, ok)
 
 
 def solenoid_potential(radius: float, pitch: float, length: float,
                        kappa0: float, y: Point3,
                        cfg: QuadConfig | None = None,
-                       medium: MediumConstants = VACUUM) -> PotentialResult:
+                       medium: MediumConstants = VACUUM,
+                       want_b: bool = True) -> PotentialResult:
     """Vector potential and field of the helical current sheet on a
     finite cylinder.
 
@@ -148,6 +162,7 @@ def solenoid_potential(radius: float, pitch: float, length: float,
     where F(u) = asinh(z / sqrt(c1)) - asinh((z - length) / sqrt(c1)),
     c1 = r^2 + radius^2 - 2 r radius cos u, and G and H are the axial
     integrals of 1/R^3 and (z - z')/R^3 (see solenoid_integrals).
+    Without want_b only a is integrated, and b is None.
     """
     if not (0.0 <= pitch < 1.0):
         raise InvalidGeometryError("pitch fraction must lie in [0, 1)")
@@ -162,16 +177,14 @@ def solenoid_potential(radius: float, pitch: float, length: float,
         raise OnSupportError("field point lies on the sheet (distance %g)" % d)
     i_cos, i_one, j_r, j_phi, j_z, err, b_err, evals, ok = \
         solenoid_integrals(r, z, a, length, cfg.abs_tol, cfg.rel_tol,
-                           cfg.max_subdivisions)
+                           cfg.max_subdivisions, want_b)
     pref = medium.mu * kappa0 * a / FOUR_PI
     a_phi = pref * a * big_p * i_cos
     a_z = pref * p * i_one
     vec = cyl_to_cart(0.0, a_phi, a_z, y.phi)
-    b = cyl_to_cart(pref * a * big_p * j_r, pref * p * j_phi,
-                    pref * a * big_p * j_z, y.phi)
-    return PotentialResult(y, vec, error=abs(pref) * err, converged=bool(ok),
-                           diagnostics={"b_error": abs(pref) * b_err,
-                                        "evaluations": evals}, b=b)
+    b = (cyl_to_cart(pref * a * big_p * j_r, pref * p * j_phi,
+                     pref * a * big_p * j_z, y.phi) if want_b else None)
+    return _chart_result(y, vec, b, pref, err, b_err, evals, ok)
 
 
 def curve_potential(src: CurveSource, y: Point3,
@@ -223,12 +236,6 @@ def _curve_floor(start: Point3, end: Point3) -> float:
                               for v in pt.as_tuple()))
 
 
-def polyline_distance(chain: tuple[Point3, ...], y: Point3) -> float:
-    """Distance from y to the polyline through the vertex chain."""
-    return min(_segment_geometry(y, p0, p1)[0]
-               for p0, p1 in zip(chain[:-1], chain[1:]))
-
-
 def _polyline_potential(chain: tuple[Point3, ...], i0: float, y: Point3,
                         floor: float, medium: MediumConstants,
                         want_b: bool) -> PotentialResult:
@@ -239,7 +246,9 @@ def _polyline_potential(chain: tuple[Point3, ...], i0: float, y: Point3,
 
     Each segment's geometry comes once from _segment_geometry, and a
     point nearer to the segment than `floor` is refused before anything
-    divides by d.  With L, l0, l1, R0, R1, d and c as there:
+    divides by d.  The least d, the distance from y to the polyline, is
+    diagnostics["distance"], which the field map's derivative guard
+    reads.  With L, l0, l1, R0, R1, d and c as there:
 
     v = asinh(-l1 / d) + asinh(l0 / d) between the ends.  Beyond p0
     (l0 <= 0) v = ln((R1 - l1) / (R0 - l0)), beyond p1 (l1 >= 0)
@@ -266,10 +275,12 @@ def _polyline_potential(chain: tuple[Point3, ...], i0: float, y: Point3,
     xs, ys, zs = [], [], []
     bxs, bys, bzs = [], [], []
     size = 0.0
+    nearest = math.inf
     for p0, p1 in zip(chain[:-1], chain[1:]):
         (d, length, ux, uy, uz, r0, r1, l0, l1,
          cx, cy, cz) = _segment_geometry(y, p0, p1)
         _refuse_on_support(d, floor)
+        nearest = min(nearest, d)
         if l0 <= 0.0 or l1 >= 0.0:
             if l0 <= 0.0:
                 v = math.log((r1 - l1) / (r0 - l0))
@@ -300,8 +311,9 @@ def _polyline_potential(chain: tuple[Point3, ...], i0: float, y: Point3,
                  pref * math.fsum(bzs))
     return PotentialResult(y, vec,
                            error=abs(pref) * SEGMENT_ERROR_C * EPS * size,
-                           converged=True, diagnostics={"evaluations": 0},
-                           b=b)
+                           converged=True,
+                           diagnostics={"evaluations": 0,
+                                        "distance": nearest}, b=b)
 
 
 def _segment_geometry(y: Point3, p0: Point3, p1: Point3) -> tuple:

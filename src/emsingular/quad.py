@@ -1,10 +1,14 @@
-"""Deterministic quadrature and summation engines.
+"""Deterministic quadrature and summation engines for integrands that
+come as Python callables.
 
 Two entry points:
 
 * integrate_adaptive  - adaptive bisection driven by an embedded
-  Gauss-Kronrod 7/15 pair, on _core._ref._adaptive_panels, the driver
-  the _core chart quadratures run too;
+  Gauss-Kronrod 7/15 pair, on _core._ref._adaptive_panels: generic
+  curves, circulations and selfcheck.  The loop, helix and sheet do not
+  come here: their chart quadratures in _core run on Gauss-Legendre
+  panels placed from the zeros of their squared distance, with an
+  a-priori error bound;
 * sum_series          - partial sums with a consecutive-small-terms stop.
 
 Everything is deterministic: identical inputs give bit-identical results.

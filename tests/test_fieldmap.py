@@ -130,6 +130,55 @@ def test_one_source_row_writes_its_error(source):
     assert row["quad_error"] == want > 0.0
 
 
+@pytest.mark.parametrize("source", [LOOP, HELIX, SOLENOID],
+                         ids=lambda s: s["type"])
+def test_potential_only_rows_skip_the_field(monkeypatch, source):
+    # an [a] row asks its chart quadrature for no Biot-Savart component:
+    # no b, each node forms the potential's components alone, the panels
+    # are never more (the sharper 1 / R^3 can only add bisections; it
+    # does for the helix here), and a agrees within the reported error
+    results = {}
+    for outputs in (["a"], ["a", "b"]):
+        scene = make_scene([source], outputs)
+        (part,) = fieldmap.build_parts(scene)
+        seen = []
+
+        def keeping(*args, _inner=part.evaluate):
+            seen.append(_inner(*args))
+            return seen[-1]
+
+        part.evaluate = keeping
+        row = row_dict(scene, fieldmap.compute_row(scene, [part],
+                                                   (0.3, 0.2, 0.6)))
+        assert row["status"] == "ok"
+        (results[len(outputs)],) = seen
+    alone, both = results[1], results[2]
+    assert alone.b is None and both.b is not None
+    fewer = alone.diagnostics["evaluations"] < both.diagnostics["evaluations"]
+    assert fewer or (source is not HELIX and alone.diagnostics["evaluations"]
+                     == both.diagnostics["evaluations"])
+    for u, v in zip(alone.a.as_tuple(), both.a.as_tuple()):
+        assert abs(u - v) <= alone.error + both.error
+
+
+def test_polyline_row_forms_each_segment_once(monkeypatch):
+    # the derivative guard reads the distance the potential formed, so
+    # a 1-row [a, b] row walks the segments once
+    calls = []
+    geometry = magneto._segment_geometry
+
+    def counting(*args):
+        calls.append(args)
+        return geometry(*args)
+
+    monkeypatch.setattr(magneto, "_segment_geometry", counting)
+    scene = make_scene([SQUARE], ["a", "b"])
+    parts = fieldmap.build_parts(scene)
+    row = row_dict(scene, fieldmap.compute_row(scene, parts, (0.5, 0.0, 0.3)))
+    assert row["status"] == "ok"
+    assert len(calls) == len(SQUARE["points"]) - 1
+
+
 def exterior3_columns(scene, parts, point, t):
     """b, e and residual columns by the exterior3 route (derive_b,
     d_numeric, codifferential) over a plain, uncached sum of the parts'

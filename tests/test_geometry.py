@@ -54,7 +54,9 @@ def guard_points(p0, p1, floor):
 
 
 def test_polyline_distance_agrees_with_the_foot_point_form():
-    # between the ends the distance is |u x (y - p)| from the nearer
+    # a segment's distance, as _segment_geometry forms it for the guard,
+    # the potential and the field map's derivative guard: between the
+    # ends it is |u x (y - p)| from the nearer
     # end, beyond them R0 or R1: within 8 ulp of the larger of R0 and
     # R1 everywhere, and the same guard decision either way at points
     # 1e-6 of the floor inside or outside it
@@ -64,7 +66,7 @@ def test_polyline_distance_agrees_with_the_foot_point_form():
             with pytest.raises(InvalidGeometryError):
                 polyline([p0, p1], 1.0)
             continue
-        got = magneto.polyline_distance((p0, p1), y)
+        got = magneto._segment_geometry(y, p0, p1)[0]
         want = foot_point_distance(y, p0, p1)
         big = max((y - p0).norm(), (y - p1).norm())
         assert abs(got - want) <= 8.0 * math.ulp(big), (y, p0, p1)
@@ -74,7 +76,7 @@ def test_polyline_distance_agrees_with_the_foot_point_form():
                                   for v in pt.as_tuple()))
         for label, point, refused in guard_points(p0, p1, floor):
             assert (foot_point_distance(point, p0, p1) < floor) == refused
-            assert (magneto.polyline_distance((p0, p1), point)
+            assert (magneto._segment_geometry(point, p0, p1)[0]
                     < floor) == refused, (label, point, p0, p1)
 
 
