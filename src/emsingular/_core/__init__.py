@@ -1,9 +1,10 @@
 """Numerical core: Bessel K0, the loop, helix and cylinder-sheet
-quadratures and the slab kernel series, all in pure Python (_ref)."""
+quadratures, the slab kernel series and the exact product and sum of
+two doubles, all in pure Python (_ref)."""
 
 from ._ref import (  # noqa: F401
     bessel_k0, helix_integrals, loop_phi_integral, plate_green_sum,
-    solenoid_integrals,
+    solenoid_integrals, two_product, two_sum,
 )
 
 

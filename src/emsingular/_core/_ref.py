@@ -239,6 +239,8 @@ EPS = 2.0 ** -52
 RHO = 3.0
 THETA = 0.8
 RHO_CAP = 10.0
+# a zero whose u is further than this off the real axis is not listed
+FAR_ZERO = 30.0
 STRIPS = 6
 # rounding of one integrand value and of the weighted sum, in units of
 # EPS of the weighted moduli the nodes give
@@ -334,8 +336,8 @@ def _chord_floor(c: float, alpha: float, beta: float, c0: float,
     * |K - cos u|^2 = (K - cos v cosh y)^2 + sin^2 v sinh^2 y, with
       v = Re u and y = P tau, decreases in cos v and grows with K past
       cos v cosh y, and over |y| <= P T its least value is at
-      cosh y = C K0 clamped to [1, cosh(P T)], so |R^2| >= 2 a r
-      sqrt(that) - p T sqrt(4 dz^2 + p^2 T^2).
+      cosh y = C K0 clamped to [1, cosh(P T)] (K0^2 where C <= 0), so
+      |R^2| >= 2 a r sqrt(that) - p T sqrt(4 dz^2 + p^2 T^2).
 
     L is the least over the strips of the larger of the two; it is not
     positive where a strip may hold a zero of R^2."""
@@ -371,16 +373,15 @@ def _chord_floor(c: float, alpha: float, beta: float, c0: float,
         low = (c0 + dlo * dlo + two_ar * (1.0 - (big_c * ch if big_c > 0.0
                                                  else big_c)) - pt * pt)
         if two_ar > 0.0:
-            k = (c0 + two_ar + dlo * dlo) / two_ar
-            if big_c <= 0.0:
-                g = k * k
-            else:
-                chs = big_c * k
+            # 2 a r |K0 - cos u|, formed without dividing by 2 a r
+            mod = c0 + two_ar + dlo * dlo
+            if big_c > 0.0:
+                chs = big_c * mod / two_ar
                 chs = 1.0 if chs < 1.0 else (ch if chs > ch else chs)
-                g = ((k - big_c * chs) ** 2
-                     + (1.0 - big_c * big_c) * (chs * chs - 1.0))
-            mod = (two_ar * math.sqrt(g)
-                   - pt * math.sqrt(4.0 * dhi * dhi + pt * pt))
+                mod = math.hypot(mod - two_ar * big_c * chs,
+                                 two_ar * math.sqrt((1.0 - big_c * big_c)
+                                                    * (chs * chs - 1.0)))
+            mod -= pt * math.sqrt(4.0 * dhi * dhi + pt * pt)
             if mod > low:
                 low = mod
         if not low > 0.0:
@@ -473,11 +474,12 @@ def loop_phi_integral(r: float, z: float, a: float, abs_tol: float,
 
 def _azimuth_zeros(c0: float, ar: float):
     """The zeros (sigma, tau) near [0, pi] of c0 + 4 a r sin^2(u / 2),
-    at u = 2 pi k +- 2 i asinh(sqrt(c0 / (4 a r))); none where a r = 0."""
+    at u = 2 pi k +- 2 i asinh(sqrt(c0 / (4 a r))); none where a r = 0,
+    or where tau > FAR_ZERO."""
     if ar == 0.0:
         return []
     tau = 2.0 * math.asinh(math.sqrt(c0 / (4.0 * ar)))
-    return [(0.0, tau), (2.0 * math.pi, tau)]
+    return [(0.0, tau), (2.0 * math.pi, tau)] if tau <= FAR_ZERO else []
 
 
 def _loop_panel(r: float, z: float, a: float, zeros, want_b: bool):
@@ -547,26 +549,35 @@ def _helix_zeros(r: float, phi: float, z: float, a: float, p: float,
     half plane, for the turns within two of [s0, s1]: one per turn, near
     where the wire passes the field point's azimuth, found by Newton's
     method from the loop's zero at that height.  On the axis R^2 =
-    a^2 + (z - p s)^2 has the one zero (z + i a) / p."""
+    a^2 + (z - p s)^2 has the one zero (z + i a) / p.  A zero more than
+    FAR_ZERO / P off the axis is left out: every panel is at most half a
+    turn, pi / P, long, so its Bernstein parameter there would exceed
+    RHO_CAP."""
     if a * r == 0.0:
-        return [(z / p, a / p)]
+        return [(z / p, a / p)] if big_p * a / p <= FAR_ZERO else []
     ra2, two_ar = (r - a) * (r - a), 2.0 * a * r
     zeros = []
     for k in range(math.floor((big_p * s0 - phi) / _TWO_PI) - 2,
                    math.ceil((big_p * s1 - phi) / _TWO_PI) + 3):
         sigma = (phi + _TWO_PI * k) / big_p
-        d0 = ra2 + (z - p * sigma) ** 2
-        tau = 2.0 * math.asinh(math.sqrt(d0 / (2.0 * two_ar))) / big_p
-        s = complex(sigma, tau)
+        dz = z - p * sigma
+        tau = 2.0 * math.asinh(math.sqrt((ra2 + dz * dz) / (2.0 * two_ar)))
+        if not tau <= FAR_ZERO:
+            continue
+        s = complex(sigma, tau / big_p)
         for _ in range(30):
             u = big_p * s - phi
             dz = z - p * s
-            step = ((ra2 + 2.0 * two_ar * cmath.sin(0.5 * u) ** 2 + dz * dz)
-                    / (two_ar * big_p * cmath.sin(u) - 2.0 * p * dz))
-            s -= step
-            if abs(step) <= 1e-6 * abs(s.imag):
+            slope = two_ar * big_p * cmath.sin(u) - 2.0 * p * dz
+            if slope == 0.0:
                 break
-        if s.imag != 0.0 and math.isfinite(s.real) and math.isfinite(s.imag):
+            sin_half = cmath.sin(0.5 * u)
+            step = (ra2 + 2.0 * two_ar * sin_half * sin_half + dz * dz) / slope
+            s -= step
+            if (not big_p * abs(s.imag) <= FAR_ZERO
+                    or abs(step) <= 1e-6 * abs(s.imag)):
+                break
+        if 0.0 < big_p * abs(s.imag) <= FAR_ZERO and math.isfinite(s.real):
             zeros.append((s.real, abs(s.imag)))
     return zeros
 
@@ -673,40 +684,42 @@ def _helix_panel(r: float, phi: float, z: float, a: float, p: float,
     return panel, bound
 
 
-# 2 pi as the sum of two doubles, and Dekker's splitting constant
+# 2 pi less its double, and Veltkamp's splitting constant 2^27 + 1
 _TWO_PI_LO = 2.4492935982947064e-16
 _SPLIT = 134217729.0
 
 
-def _two_product(x: float, y: float):
-    """(p, e) with p = fl(x y) and p + e = x y exactly (Dekker)."""
-    prod = x * y
-    t = _SPLIT * x
-    xh = t - (t - x)
-    t = _SPLIT * y
-    yh = t - (t - y)
-    xl, yl = x - xh, y - yh
-    return prod, ((xh * yh - prod) + xh * yl + xl * yh) + xl * yl
+def two_product(a: float, b: float) -> tuple[float, float]:
+    """(a * b rounded, its exact error): Dekker's product over
+    Veltkamp's split."""
+    p = a * b
+    h = _SPLIT * a
+    a_hi = h - (h - a)
+    a_lo = a - a_hi
+    h = _SPLIT * b
+    b_hi = h - (h - b)
+    b_lo = b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
-def _two_sum(x: float, y: float):
-    """(s, e) with s = fl(x + y) and s + e = x + y exactly (Knuth)."""
-    total = x + y
-    back = total - x
-    return total, (x - (total - back)) + (y - back)
+def two_sum(a: float, b: float) -> tuple[float, float]:
+    """(a + b rounded, its exact error): Knuth's two-sum."""
+    s = a + b
+    h = s - a
+    return s, (a - (s - h)) + (b - h)
 
 
 def _chart_start(s: float, big_p: float, phi: float, z: float, p: float):
     """(u, dz) at s: u = P s - phi less the nearest whole number of turns
     and dz = z - p s, each within an ulp or two of its own size."""
-    ps, ps_err = _two_product(big_p, s)
+    ps, ps_err = two_product(big_p, s)
     k = float(round((ps - phi) / _TWO_PI))
-    turns, turns_err = _two_product(k, _TWO_PI)
-    u, u_err = _two_sum(ps, -turns)
-    u, phi_err = _two_sum(u, -phi)
+    turns, turns_err = two_product(k, _TWO_PI)
+    u, u_err = two_sum(ps, -turns)
+    u, phi_err = two_sum(u, -phi)
     u += u_err + phi_err + ps_err - turns_err - k * _TWO_PI_LO
-    zs, zs_err = _two_product(p, s)
-    dz, dz_err = _two_sum(z, -zs)
+    zs, zs_err = two_product(p, s)
+    dz, dz_err = two_sum(z, -zs)
     return u, dz + (dz_err - zs_err)
 
 
@@ -858,7 +871,7 @@ def _axial_bounds(t0: float, t1: float, low: float, big_c: float):
         inner = min(x, edge)
         f = inner / root
         g = inner / (low * root)
-        hh = 0.5 * inner * inner / (low * root)
+        hh = 0.5 * inner * g
         if x > edge:
             q = math.sqrt(x * x - big_c)
             f += math.log((x + q) / (edge + root))
@@ -915,7 +928,7 @@ def solenoid_integrals(r: float, z: float, a: float, L0: float,
     """
     z1 = z - L0
     t_min = min(abs(z), abs(z1)) if z <= 0.0 or z1 >= 0.0 else 0.0
-    zeros = _azimuth_zeros((r - a) ** 2 + t_min * t_min, a * r)
+    zeros = _azimuth_zeros((r - a) * (r - a) + t_min * t_min, a * r)
     edges = _graded_edges(0.0, math.pi, zeros, 0.5 * math.pi, max_sub)
     panel, bound = _sheet_panel(r, z, a, L0, zeros, want_b)
     vals, errs, n, ok = _gauss_panels(panel, bound, edges, 0.5 * abs_tol,

@@ -21,7 +21,8 @@ class PotentialResult:
     apart (a point charge's: retarded.rounding_bound).  b is the
     magnetic field (tesla) where the evaluator forms it with the
     potentials, else None.  diagnostics holds what not every kind has:
-    `evaluations` (integrand nodes) and `b_error` (tesla, bounding b).
+    `evaluations` (integrand nodes), `b_error` (tesla, bounding b) and,
+    for a polyline, `distance` (meters, from the point to the wire).
 
     Every field after a is keyword-only, so no call depends on their
     order.  One is built per source at every stencil point of a row, so

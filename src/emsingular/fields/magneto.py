@@ -280,7 +280,8 @@ def _polyline_potential(chain: tuple[Point3, ...], i0: float, y: Point3,
         (d, length, ux, uy, uz, r0, r1, l0, l1,
          cx, cy, cz) = _segment_geometry(y, p0, p1)
         _refuse_on_support(d, floor)
-        nearest = min(nearest, d)
+        if d < nearest:
+            nearest = d
         if l0 <= 0.0 or l1 >= 0.0:
             if l0 <= 0.0:
                 v = math.log((r1 - l1) / (r0 - l0))

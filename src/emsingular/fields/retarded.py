@@ -37,6 +37,7 @@ import functools
 import math
 
 from .. import exterior3, kernels
+from .._core import two_product, two_sum
 from ..errors import (CoincidentPointsError, OutOfDomainError,
                       SuperluminalError)
 from ..geometry import Point3, Vec3, norm3
@@ -45,7 +46,6 @@ from .base import PotentialResult
 from .medium import VACUUM, MediumConstants
 
 EPS = 2.0 ** -52
-_SPLIT = 134217729.0     # 2^27 + 1, splits a double into two halves
 
 
 def solve_retarded_time(src: PointSource, y: Point3, t: float,
@@ -206,26 +206,6 @@ def rounding_bound(src: PointSource, y: Point3, t: float,
     return rel * abs(res.phi), rel * res.a.norm()
 
 
-def _two_product(a: float, b: float) -> tuple[float, float]:
-    """(a * b rounded, its exact error): Dekker's product over
-    Veltkamp's split."""
-    p = a * b
-    h = _SPLIT * a
-    a_hi = h - (h - a)
-    a_lo = a - a_hi
-    h = _SPLIT * b
-    b_hi = h - (h - b)
-    b_lo = b - b_hi
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    """(a + b rounded, its exact error): Knuth's two-sum."""
-    s = a + b
-    h = s - a
-    return s, (a - (s - h)) + (b - h)
-
-
 def _w_rounding(src: PointSource, y: Point3,
                 t: float) -> tuple[float, float, float]:
     """w - (y - x0 - t v), component by component, for
@@ -234,9 +214,9 @@ def _w_rounding(src: PointSource, y: Point3,
     x0, v = src.x0, src.v
     dws = []
     for yi, xi, vi in ((y.x, x0.x, v.x), (y.y, x0.y, v.y), (y.z, x0.z, v.z)):
-        p, err_p = _two_product(vi, t)
-        q, err_q = _two_sum(xi, p)
-        _, err_w = _two_sum(yi, -q)
+        p, err_p = two_product(vi, t)
+        q, err_q = two_sum(xi, p)
+        _, err_w = two_sum(yi, -q)
         dws.append(err_q + err_p - err_w)
     return dws[0], dws[1], dws[2]
 
@@ -248,13 +228,13 @@ def _k_rounding(vx: float, vy: float, vz: float, c: float) -> float:
     within u of their sum, which 1 + EPS covers.  Exact wherever no
     product of v's components underflows.  Cached: it depends on the
     charge's v and the medium's c alone, and runs at every row."""
-    cc, e_cc = _two_product(c, c)
-    px, e_x = _two_product(vx, vx)
-    py, e_y = _two_product(vy, vy)
-    pz, e_z = _two_product(vz, vz)
-    s, e_s = _two_sum(px, py)
-    vv, e_vv = _two_sum(s, pz)
-    _, e_k = _two_sum(cc, -vv)
+    cc, e_cc = two_product(c, c)
+    px, e_x = two_product(vx, vx)
+    py, e_y = two_product(vy, vy)
+    pz, e_z = two_product(vz, vz)
+    s, e_s = two_sum(px, py)
+    vv, e_vv = two_sum(s, pz)
+    _, e_k = two_sum(cc, -vv)
     # k + e_k = cc - vv, cc + e_cc = c^2 and vv + e_vv + e_s + e_x + e_y
     # + e_z = v.v, so k - (c^2 - v.v) = -(e_k + e_cc - e_vv - e_s - ...)
     return abs(math.fsum((e_k, e_cc, -e_vv, -e_s, -e_x, -e_y, -e_z))) \
