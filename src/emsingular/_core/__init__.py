@@ -1,11 +1,12 @@
 """Numerical core: Bessel K0, the loop, helix and cylinder-sheet
 quadratures, the slab kernel series and the exact product and sum of
-two doubles, all in pure Python (_ref)."""
+two doubles, all in pure Python (_chart for the chart quadratures, _ref
+for the rest)."""
 
-from ._ref import (  # noqa: F401
-    bessel_k0, helix_integrals, loop_phi_integral, plate_green_sum,
-    solenoid_integrals, two_product, two_sum,
+from ._chart import (  # noqa: F401
+    helix_integrals, loop_phi_integral, solenoid_integrals,
 )
+from ._ref import bessel_k0, plate_green_sum, two_product, two_sum  # noqa: F401
 
 
 def backend_name() -> str:

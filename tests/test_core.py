@@ -20,7 +20,7 @@ import mpmath as mp
 import pytest
 from mpmath.calculus.quadrature import GaussLegendre
 
-from emsingular._core import _ref
+from emsingular._core import _chart, _ref
 from emsingular._core._gl import N as GAUSS_N
 
 TOL = (1e-12, 1e-9, 2000)   # abs_tol, rel_tol, max_sub as QuadConfig
@@ -171,26 +171,26 @@ def _components(monkeypatch, call):
         seen.append(out)
         return out
 
-    driver = _ref._gauss_panels
-    monkeypatch.setattr(_ref, "_gauss_panels", spy)
+    driver = _chart._gauss_panels
+    monkeypatch.setattr(_chart, "_gauss_panels", spy)
     result = call()
     assert len(seen) == 1
     return result, seen[0]
 
 
 def _helix(monkeypatch, r, phi, z, tol=TOL, want_b=True):
-    return _components(monkeypatch, lambda: _ref.helix_integrals(
+    return _components(monkeypatch, lambda: _chart.helix_integrals(
         r, phi, z, HELIX_A, HELIX_PITCH, HELIX_P, HELIX_S0, HELIX_S1, *tol,
         want_b=want_b))
 
 
 def _loop(monkeypatch, r, z, want_b=True):
-    return _components(monkeypatch, lambda: _ref.loop_phi_integral(
+    return _components(monkeypatch, lambda: _chart.loop_phi_integral(
         r, z, LOOP_A, *TOL, want_b=want_b))
 
 
 def _sheet(monkeypatch, r, z, want_b=True):
-    return _components(monkeypatch, lambda: _ref.solenoid_integrals(
+    return _components(monkeypatch, lambda: _chart.solenoid_integrals(
         r, z, SHEET_A, SHEET_L, *TOL, want_b=want_b))
 
 
@@ -380,24 +380,6 @@ def test_potential_alone_skips_the_field(monkeypatch):
     assert alone[3:6] == (None, None, None) and alone[7] is None
     for v, e, w, f in zip(values[:3], errors[:3], a_values, a_errors):
         assert abs(v - w) <= e + f
-
-
-def test_gauss_rule_is_exact_for_low_degree_and_matches_numpy():
-    np = pytest.importorskip("numpy")
-    # x^k on [-1, 1], k <= 2 n - 1, exactly up to the table's rounding
-    rule = [(sign * x, w) for x, w in zip(_ref.GL_X, _ref.GL_W)
-            for sign in (-1.0, 1.0)]
-    for k in range(2 * GAUSS_N):
-        got = math.fsum(w * x ** k for x, w in rule)
-        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-        assert abs(got - exact) <= 8 * GAUSS_N * 2.0 ** -53, k
-    # numpy's nodes agree to a few ulps; its weights, formed in floats,
-    # are up to 63 ulps off the 50-digit values the table holds
-    x, w = np.polynomial.legendre.leggauss(GAUSS_N)
-    for mine, theirs in zip(_ref.GL_X, -x[:GAUSS_N // 2]):
-        assert abs(mine - theirs) <= 4 * math.ulp(mine)
-    for mine, theirs in zip(_ref.GL_W, w[:GAUSS_N // 2]):
-        assert abs(mine - theirs) <= 128 * math.ulp(mine)
 
 
 def _two_components(f, g):

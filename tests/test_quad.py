@@ -4,11 +4,13 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy
 import pytest
 
 from emsingular import selfcheck
 from emsingular._core import _ref
 from emsingular._core._gk import WG, WGK, XGK
+from emsingular._core._gl import N, W, X
 from emsingular.quad import (QuadConfig, QuadResult, integrate_adaptive,
                              sum_series)
 
@@ -76,6 +78,27 @@ def test_gauss_kronrod_table_integrates_polynomials_exactly():
             got = _rule_on_monomial(nodes, weights, centre, k)
             ulp = math.ulp(float(exact)) if exact else 0.0
             assert abs(Fraction(got) - exact) <= 8 * Fraction(ulp), (degree, k)
+
+
+def test_gauss_legendre_table_integrates_polynomials_exactly():
+    # the n-point rule of the chart quadratures is exact for degree
+    # <= 2n - 1; with the table's rounding only, each sum is within a
+    # few ulps of 2/(k+1)
+    for k in range(2 * N):
+        exact = Fraction(2, k + 1) if k % 2 == 0 else Fraction(0)
+        got = _rule_on_monomial(X, W, 0.0, k)
+        ulp = math.ulp(float(exact)) if exact else 0.0
+        assert abs(Fraction(got) - exact) <= 8 * Fraction(ulp), k
+
+
+def test_gauss_legendre_table_matches_numpy():
+    # numpy's nodes agree to a few ulps; its weights, formed in floats,
+    # are up to 63 ulps off the 50-digit values the table holds
+    x, w = numpy.polynomial.legendre.leggauss(N)
+    for mine, theirs in zip(X, -x[:N // 2]):
+        assert abs(mine - theirs) <= 4 * math.ulp(mine)
+    for mine, theirs in zip(W, w[:N // 2]):
+        assert abs(mine - theirs) <= 128 * math.ulp(mine)
 
 
 def _quadratic_driver(f, a, b, abs_tol, rel_tol, max_sub):
