@@ -45,6 +45,8 @@ from ._ref import two_product, two_sum
 # panel's sum is bounded apart, from the moduli its nodes give.
 
 EPS = 2.0 ** -52
+# every listed zero lies outside E_RHO of its panel; the bound's
+# ellipse is E_rho', rho' = min(rho_z, RHO_CAP)^THETA
 RHO = 3.0
 THETA = 0.8
 RHO_CAP = 10.0
@@ -148,56 +150,76 @@ def _chord_floor(c: float, alpha: float, beta: float, c0: float,
       cosh y = C K0 clamped to [1, cosh(P T)] (K0^2 where C <= 0), so
       |R^2| >= 2 a r sqrt(that) - p T sqrt(4 dz^2 + p^2 T^2).
 
-    L is the least over the strips of the larger of the two; it is not
-    positive where a strip may hold a zero of R^2."""
+    Both are formed from 1 - C, cosh(P T) - 1 and K0 - 1, which keeps
+    them accurate where they are small.  L is the least over the strips
+    of the larger of the two, less a margin for the rounding of these
+    terms; it is not positive where a strip may hold a zero of R^2."""
     floor = math.inf
     m = 1.0
-    cosh_t = [math.cosh(big_p * beta * t) for t in _STRIP_T]
+    # cosh(P T) - 1 for each strip height, and 1 - cos v at each
+    # abscissa, formed as 2 sinh^2 and 2 sin^2 of the half angle, so
+    # that nothing is lost to the 1 they are taken from near a zero
+    ch1 = [2.0 * math.sinh(0.5 * big_p * beta * t) ** 2 for t in _STRIP_T]
     x0 = c + alpha * _STRIP_X[0]
     v0 = big_p * x0 - phi
-    cos0 = math.cos(v0)
+    omc0 = 2.0 * math.sin(0.5 * v0) ** 2
     q = v0 / _TWO_PI
     turn0, half0 = math.floor(q), math.floor(q + 0.5)
     dz0 = z - p * x0
     for j in range(STRIPS):
         x1 = c + alpha * _STRIP_X[j + 1]
         v1 = big_p * x1 - phi
-        cos1 = math.cos(v1)
+        omc1 = 2.0 * math.sin(0.5 * v1) ** 2
         q = v1 / _TWO_PI
         turn1, half1 = math.floor(q), math.floor(q + 0.5)
         dz1 = z - p * x1
+        # gam = 1 - C for the largest cosine C on the strip
         if turn1 != turn0:
-            big_c = 1.0
+            gam = 0.0
         else:
-            big_c = cos0 if cos0 > cos1 else cos1
+            gam = omc0 if omc0 < omc1 else omc1
         if half1 != half0:
             m = -1.0
-        elif cos0 < m or cos1 < m:
-            m = cos0 if cos0 < cos1 else cos1
+        else:
+            least = 1.0 - (omc0 if omc0 > omc1 else omc1)
+            if least < m:
+                m = least
+        big_c = 1.0 - gam
         a0, a1 = abs(dz0), abs(dz1)
         dlo = 0.0 if dz0 * dz1 <= 0.0 else (a0 if a0 < a1 else a1)
         dhi = a0 if a0 > a1 else a1
+        c0p = c0 + dlo * dlo
         pt = p * beta * _STRIP_H[j]
-        ch = cosh_t[_STRIP_K[j]]
-        low = (c0 + dlo * dlo + two_ar * (1.0 - (big_c * ch if big_c > 0.0
-                                                 else big_c)) - pt * pt)
+        chm1 = ch1[_STRIP_K[j]]
+        low = c0p - pt * pt + two_ar * (gam - big_c * chm1 if big_c > 0.0
+                                        else gam)
         if two_ar > 0.0:
-            # 2 a r |K0 - cos u|, formed without dividing by 2 a r
-            mod = c0 + two_ar + dlo * dlo
+            # 2 a r |K0 - cos u| with K0 = 1 + c0p / (2 a r), cos Re u =
+            # 1 - gam and cosh(P tau) = 1 + eta at the least
             if big_c > 0.0:
-                chs = big_c * mod / two_ar
-                chs = 1.0 if chs < 1.0 else (ch if chs > ch else chs)
-                mod = math.hypot(mod - two_ar * big_c * chs,
-                                 two_ar * math.sqrt((1.0 - big_c * big_c)
-                                                    * (chs * chs - 1.0)))
+                eta = (big_c * c0p - two_ar * gam) / two_ar
+                eta = 0.0 if eta < 0.0 else (chm1 if eta > chm1 else eta)
+                mod = math.hypot(c0p + two_ar * (gam * (1.0 + eta) - eta),
+                                 two_ar * math.sqrt(gam * (2.0 - gam)
+                                                    * eta * (2.0 + eta)))
+            else:
+                mod = c0p + two_ar
             mod -= pt * math.sqrt(4.0 * dhi * dhi + pt * pt)
             if mod > low:
                 low = mod
+        # less the rounding of those terms, and that of gam from the
+        # rounding of the abscissa's v; a squared distance beyond the
+        # floats stays inf
+        if low < math.inf:
+            low -= (8.0 * EPS * (c0p + pt * pt + 2.0 * pt * dhi)
+                    + 8.0 * EPS * two_ar * (gam + chm1 * (2.0 + gam))
+                    + 4.0 * EPS * two_ar * math.sqrt(gam) * (2.0 + chm1)
+                    * (abs(v1) + abs(v0) + 2.0 * abs(phi) + 1.0))
         if not low > 0.0:
             return low, m
         if low < floor:
             floor = low
-        cos0, turn0, half0, dz0 = cos1, turn1, half1, dz1
+        omc0, turn0, half0, dz0, v0 = omc1, turn1, half1, dz1, v1
     return floor, m
 
 
