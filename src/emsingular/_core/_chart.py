@@ -247,18 +247,18 @@ def _gauss_panels(panel, bound, edges, abs_tol: float, rel_tol: float,
     values = [panel(lo, hi) for lo, hi in spans]
     bounds = [bound(lo, hi) for lo, hi in spans]
     evals = GAUSS_N * len(spans)
+    comps = range(len(bounds[0]))
     while True:
-        totals = [math.fsum(col) for col in zip(*(v[0] for v in values))]
-        truncs = [math.fsum(col) for col in zip(*bounds)]
+        totals = [math.fsum([v[0][j] for v in values]) for j in comps]
+        truncs = [math.fsum([b[j] for b in bounds]) for j in comps]
         worst, excess = -1, 1.0
         for j, (total, trunc) in enumerate(zip(totals, truncs)):
             ratio = trunc / max(abs_tol, rel_tol * abs(total))
             if not ratio <= excess:
                 worst, excess = j, ratio if ratio == ratio else math.inf
         if worst < 0 or len(spans) >= max_sub:
-            errors = tuple(
-                trunc + math.fsum(col)
-                for trunc, col in zip(truncs, zip(*(v[1] for v in values))))
+            errors = tuple(truncs[j] + math.fsum([v[1][j] for v in values])
+                           for j in comps)
             return tuple(totals), errors, evals, 1 if worst < 0 else 0
         i, top = 0, -1.0
         for n, b in enumerate(bounds):
