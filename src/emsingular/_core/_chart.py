@@ -50,7 +50,7 @@ EPS = 2.0 ** -52
 RHO = 3.0
 THETA = 0.8
 RHO_CAP = 10.0
-# a zero whose u is further than this off the real axis is not listed
+# a zero whose u lies further than this off the real line is not listed
 FAR_ZERO = 30.0
 STRIPS = 6
 # rounding of one integrand value and of the weighted sum, in units of
@@ -381,9 +381,9 @@ def _helix_zeros(r: float, phi: float, z: float, a: float, p: float,
     where the wire passes the field point's azimuth, found by Newton's
     method from the loop's zero at that height.  On the axis R^2 =
     a^2 + (z - p s)^2 has the one zero (z + i a) / p.  A zero more than
-    FAR_ZERO / P off the axis is left out: every panel is at most half a
-    turn, pi / P, long, so its Bernstein parameter there would exceed
-    RHO_CAP."""
+    FAR_ZERO / P off the real line is left out: every panel is at most
+    half a turn, pi / P, long, so its Bernstein parameter there would
+    exceed RHO_CAP."""
     if a * r == 0.0:
         return [(z / p, a / p)] if big_p * a / p <= FAR_ZERO else []
     ra2, two_ar = (r - a) * (r - a), 2.0 * a * r

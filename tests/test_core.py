@@ -382,6 +382,24 @@ def test_potential_alone_skips_the_field(monkeypatch):
         assert abs(v - w) <= e + f
 
 
+def test_chart_start_is_accurate_to_its_own_size():
+    # the helix places its nodes from u = P s - phi, less whole turns,
+    # and dz = z - p s at each panel's start, formed with exact products:
+    # each within 2 ulps of its own size, however large P s is
+    with mp.workdps(40):
+        assert mp.mpf(_chart._TWO_PI_LO) == mp.mpf(
+            float(2 * mp.pi - mp.mpf(2 * math.pi)))
+        for s in (-9.7, -0.3, 1e-9, 0.3, 7.123456789, 15.689471560592722):
+            phi, z = HELIX_P * NEAR_S, HELIX_PITCH * NEAR_S
+            u, dz = _chart._chart_start(s, HELIX_P, phi, z, HELIX_PITCH)
+            exact = mp.mpf(HELIX_P) * s - mp.mpf(phi)
+            turns = mp.nint(exact / (2 * mp.pi))
+            assert abs(mp.mpf(u) - (exact - 2 * mp.pi * turns)) <= (
+                2 * math.ulp(u)), s
+            exact_dz = mp.mpf(z) - mp.mpf(HELIX_PITCH) * s
+            assert abs(mp.mpf(dz) - exact_dz) <= 2 * math.ulp(dz), s
+
+
 def _two_components(f, g):
     def panel(lo, hi):
         (vf, ef), (vg, eg) = _ref._panel(f, lo, hi), _ref._panel(g, lo, hi)
