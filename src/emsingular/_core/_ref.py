@@ -7,11 +7,9 @@ Everything here is scalar math on purpose: the functions are called
 point by point from the field evaluators, and this inner loop dominates
 runtime.  Functions return plain tuples of floats and ints.
 
-_adaptive_panels, the worst-first Gauss-Kronrod 7/15 driver,
-integrates k components over one interval on shared nodes, each
-meeting the tolerance on its own; _adaptive is its scalar case for a
-Python integrand, which quad.integrate_adaptive runs on (generic curves
-and selfcheck).
+_adaptive, the worst-first Gauss-Kronrod 7/15 driver, integrates one
+Python integrand over one interval; quad.integrate_adaptive runs on it
+(generic curves and selfcheck).
 """
 
 from __future__ import annotations
@@ -94,43 +92,33 @@ def _rank(err: float, i: int):
     return (-err, i)
 
 
-def _adaptive_panels(panel, a: float, b: float, abs_tol: float,
-                     rel_tol: float, max_sub: int):
-    """Worst-first adaptive Gauss-Kronrod 7/15 driver for k integrals
-    over one interval.
+def _adaptive(f, a: float, b: float, abs_tol: float, rel_tol: float,
+              max_sub: int):
+    """Worst-first adaptive Gauss-Kronrod 7/15 driver for the integral
+    of f over [a, b].
 
-    panel(lo, hi) returns (values, errors), two k-tuples: each
-    component's K15 value on [lo, hi] and its |K15 - G7| estimate.  The
-    components share the panel's 15 nodes, so a source computes what
-    they have in common once per node.
+    Bisects the panel with the largest error (the lowest index among
+    equals) until the summed error meets max(abs_tol, rel_tol * |sum|)
+    or max_sub panels exist.  The sums are math.fsum over all panels.  A
+    heap finds the worst panel, and running sums skip the fsum calls
+    while the running error exceeds its threshold by more than its
+    rounding bound, so n panels cost O(n log n) rather than O(n^2); the
+    result is that of a linear scan and full re-sums after every
+    bisection, bit for bit (tests/test_quad.py).
 
-    Bisects the panel with the largest summed error (the lowest index
-    among equals) until every component's summed error meets
-    max(abs_tol, rel_tol * |its sum|) or max_sub panels exist.  The
-    sums are math.fsum over all panels, per component.  A heap finds the
-    worst panel, and running sums skip the fsum calls while some
-    component's running error exceeds its threshold by more than its
-    rounding bound, so n panels cost O(n log n) rather than O(n^2); for
-    k = 1 the result is that of a linear scan and full re-sums after
-    every bisection, bit for bit (tests/test_quad.py).
-
-    Returns (values, errors, evaluations, converged): each component's
-    value and its error, floored at 1e-15 of the value; evaluations
-    counts integrand nodes, 15 per panel, each giving all k components.
+    Returns (value, error, evaluations, converged): the error floored at
+    1e-15 of the value; evaluations counts integrand nodes, 15 per
+    panel.
     """
-    vals, errs = panel(a, b)
-    comps = range(len(vals))
-    values = [[v] for v in vals]      # values[j][i]: component j, panel i
-    errors = [[e] for e in errs]
-    spans = [(a, b)]
-    heap = [_rank(sum(errs), 0)]
+    value, err = _panel(f, a, b)
+    values, errors, spans = [value], [err], [(a, b)]
+    heap = [_rank(err, 0)]
     evals = 15
     # Each addition to a running sum rounds by at most half an ulp of
     # the largest magnitude the sum reaches, so after k additions it is
     # within k ulps of that magnitude of the exact sum.
-    run_val, run_err = list(vals), list(errs)
-    big_val = [abs(v) for v in vals]
-    big_err = [abs(e) for e in errs]
+    run_val, run_err = value, err
+    big_val, big_err = abs(value), abs(err)
     adds = 0
     while True:
         n = len(spans)
@@ -138,71 +126,43 @@ def _adaptive_panels(panel, a: float, b: float, abs_tol: float,
         # test.  An inf or NaN makes a comparison false and so takes the
         # exact path.
         spare = adds + 4
-        exact = True
-        if n < max_sub:
-            for j in comps:
-                low_err = run_err[j] - spare * math.ulp(big_err[j])
-                high_val = abs(run_val[j]) + spare * math.ulp(big_val[j])
-                if low_err > abs_tol and low_err > rel_tol * high_val:
-                    exact = False
-                    break
-        if exact:
-            totals = [math.fsum(v) for v in values]
-            total_errs = [math.fsum(e) for e in errors]
-            ok = all(e <= max(abs_tol, rel_tol * abs(t))
-                     for t, e in zip(totals, total_errs))
+        low_err = run_err - spare * math.ulp(big_err)
+        high_val = abs(run_val) + spare * math.ulp(big_val)
+        if n >= max_sub or not (low_err > abs_tol
+                                and low_err > rel_tol * high_val):
+            total, total_err = math.fsum(values), math.fsum(errors)
+            ok = total_err <= max(abs_tol, rel_tol * abs(total))
             if ok or n >= max_sub:
-                return (tuple(totals),
-                        tuple(max(e, 1e-15 * abs(t))
-                              for t, e in zip(totals, total_errs)),
-                        evals, 1 if ok else 0)
-            run_val, run_err = totals, total_errs
-            big_val = [abs(t) for t in totals]
-            big_err = [abs(e) for e in total_errs]
+                return (total, max(total_err, 1e-15 * abs(total)), evals,
+                        1 if ok else 0)
+            run_val, run_err = total, total_err
+            big_val, big_err = abs(total), abs(total_err)
             adds = 1
         worst = heapq.heappop(heap)[1]
         lo, hi = spans[worst]
         mid = 0.5 * (lo + hi)
-        vals1, errs1 = panel(lo, mid)
-        vals2, errs2 = panel(mid, hi)
+        v1, e1 = _panel(f, lo, mid)
+        v2, e2 = _panel(f, mid, hi)
         evals += 30
         # swap the worst panel for its halves in the running sums, three
         # additions each, and note the magnitude of every partial sum
-        for j in comps:
-            vj, ej = values[j], errors[j]
-            s1 = run_val[j] - vj[worst]
-            s2 = s1 + vals1[j]
-            run_val[j] = s2 + vals2[j]
-            t1 = run_err[j] - ej[worst]
-            t2 = t1 + errs1[j]
-            run_err[j] = t2 + errs2[j]
-            big_val[j] = max(big_val[j], abs(s1), abs(s2), abs(run_val[j]))
-            big_err[j] = max(big_err[j], abs(t1), abs(t2), abs(run_err[j]))
-            vj[worst] = vals1[j]
-            vj.append(vals2[j])
-            ej[worst] = errs1[j]
-            ej.append(errs2[j])
+        s1 = run_val - values[worst]
+        s2 = s1 + v1
+        run_val = s2 + v2
+        t1 = run_err - errors[worst]
+        t2 = t1 + e1
+        run_err = t2 + e2
+        big_val = max(big_val, abs(s1), abs(s2), abs(run_val))
+        big_err = max(big_err, abs(t1), abs(t2), abs(run_err))
         adds += 3
+        values[worst] = v1
+        values.append(v2)
+        errors[worst] = e1
+        errors.append(e2)
         spans[worst] = (lo, mid)
         spans.append((mid, hi))
-        heapq.heappush(heap, _rank(sum(errs1), worst))
-        heapq.heappush(heap, _rank(sum(errs2), n))
-
-
-def _adaptive(f, a: float, b: float, abs_tol: float, rel_tol: float,
-              max_sub: int):
-    """One scalar integral of f: the 1-component case of
-    _adaptive_panels, on _panel.  quad.integrate_adaptive runs on it.
-
-    Returns (value, error_estimate, evaluations, converged).
-    """
-    def panel(lo: float, hi: float):
-        value, err = _panel(f, lo, hi)
-        return (value,), (err,)
-
-    (value,), (err,), evals, ok = _adaptive_panels(panel, a, b, abs_tol,
-                                                   rel_tol, max_sub)
-    return value, err, evals, ok
+        heapq.heappush(heap, _rank(e1, worst))
+        heapq.heappush(heap, _rank(e2, n))
 
 
 # Veltkamp's splitting constant 2^27 + 1

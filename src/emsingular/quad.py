@@ -4,7 +4,7 @@ come as Python callables.
 Two entry points:
 
 * integrate_adaptive  - adaptive bisection driven by an embedded
-  Gauss-Kronrod 7/15 pair, on _core._ref._adaptive_panels: generic
+  Gauss-Kronrod 7/15 pair, on _core._ref._adaptive: generic
   curves, circulations and selfcheck.  The loop, helix and sheet do not
   come here: their chart quadratures in _core run on Gauss-Legendre
   panels placed from the zeros of their squared distance, with an

@@ -400,43 +400,28 @@ def test_chart_start_is_accurate_to_its_own_size():
             assert abs(mp.mpf(dz) - exact_dz) <= 2 * math.ulp(dz), s
 
 
-def _two_components(f, g):
-    def panel(lo, hi):
-        (vf, ef), (vg, eg) = _ref._panel(f, lo, hi), _ref._panel(g, lo, hi)
-        return (vf, vg), (ef, eg)
-
-    return panel
-
-
 def _spike(at):
     # inf at one node gives that panel a NaN error estimate
     return lambda x: math.inf if x == at else math.sin(40.0 * x)
 
 
-SMOOTH_INTEGRAL = 1.0 - math.cos(1.0)      # of sin(x) on [0, 1]
-
-
 def test_nan_in_one_component_of_first_panel_is_refined_away():
-    # the Gauss-Kronrod route of quad.integrate_adaptive: 0.5 is the
-    # middle node of [0, 1] only; bisecting that panel first, as the NaN
-    # rule does, leaves no node on it
-    values, errors, _, ok = _ref._adaptive_panels(
-        _two_components(_spike(0.5), math.sin), 0.0, 1.0, 1e-14, 1e-12,
-        2000)
+    # the Gauss-Kronrod route of quad.integrate_adaptive, whose one
+    # component is the scalar integral: 0.5 is the middle node of [0, 1]
+    # only; bisecting that panel first, as the NaN rule does, leaves no
+    # node on it
+    value, error, _, ok = _ref._adaptive(_spike(0.5), 0.0, 1.0, 1e-14,
+                                         1e-12, 2000)
     assert ok == 1
     exact = (1.0 - math.cos(40.0)) / 40.0
-    assert abs(values[0] - exact) <= errors[0] + 1e-15
-    assert abs(values[1] - SMOOTH_INTEGRAL) <= errors[1] + 1e-15
+    assert abs(value - exact) <= error + 1e-15
 
 
 def test_nan_in_one_component_of_later_panel_is_passed_over():
     # 0.75 is the middle node of [0.5, 1]: that panel's NaN error ranks
     # it last, so it is never bisected and the pass cannot converge
-    values, errors, n, ok = _ref._adaptive_panels(
-        _two_components(_spike(0.75), math.sin), 0.0, 1.0, 1e-14, 1e-12,
-        300)
+    value, error, n, ok = _ref._adaptive(_spike(0.75), 0.0, 1.0, 1e-14,
+                                         1e-12, 300)
     assert ok == 0
     assert n == 15 * (2 * 300 - 1)
-    assert not math.isfinite(values[0]) and math.isnan(errors[0])
-    # the other component is unharmed
-    assert abs(values[1] - SMOOTH_INTEGRAL) <= errors[1] <= 1e-12
+    assert not math.isfinite(value) and math.isnan(error)
