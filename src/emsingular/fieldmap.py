@@ -5,32 +5,36 @@ independent of how many worker threads computed the rows.  Every row
 carries a status:
 
     ok            all requested quantities computed, quadrature converged
-    on_support    the point sits on (or within 3 fd steps of) a source;
-                  derivative columns are refused, potentials evaluated
-                  when the point is strictly off the support
+    on_support    the point sits on (or within 3 fd steps of) a source,
+                  or a derivative is not finite there; derivative
+                  columns are refused, potentials evaluated when the
+                  point is strictly off the support
     unconverged   a quadrature failed to reach tolerance, or the row's
                   error is not finite; values written
-    out_of_domain the point (or its difference stencil) leaves a
-                  source's domain of validity (plate gap)
+    out_of_domain the point (or a point where a source differences its
+                  own a) leaves a source's domain of validity (plate
+                  gap, a separation that overflows)
 
 Converged rows contain no NaN; refused cells in flagged rows are NaN,
-and a row whose stencil is refused writes every derivative column NaN.
-Each source returns one PotentialResult, and the row reads its a, phi,
-error, converged and b by name: quad_error is the sum of the sources'
-errors at the row point, and a source that did not converge, or an
-error that is not finite, makes the row unconverged.  b comes from the
-sources: each returns its own field with its potentials at the row
-point (the Biot-Savart integral, in closed form or on the potential's
-quadrature nodes), or None where it has none, and the row sums the
-fields formed.
-e and the gauge residual are central differences of the summed
-potentials with step h = fd_step(point), so superposition holds
-row-wise to rounding.  They share one stencil, evaluated as plain
-float tuples, each point once: the row point, +-h on each axis, and
-t +- dt when a timed row asks for e or the residual.  That is 1 source
-evaluation per row for [a] or [a, b], 7 for a static e, 9 for a timed
-[phi, a, e, residual] row.  A row within 3 h of a source's support
-writes no derivative column, b included.
+and a row whose derivatives are refused writes every derivative column
+NaN.  Each source returns one PotentialResult at the row point, and
+the row reads its a, phi, error, converged, b, e and gauge terms by
+name: quad_error is the sum of the sources' errors at the row point,
+and a source that did not converge, or an error that is not finite,
+makes the row unconverged.
+
+The derivatives come from the sources, as the derivative of a layer
+potential is the potential of the differentiated kernel: each source
+returns its own b, e and Lorenz-gauge terms (d_x a_x, d_y a_y, d_z a_z,
+eps mu d_t phi) with its potentials, in closed form or on the
+potential's quadrature nodes, and the row sums each quantity over the
+sources.  The residual is d_x a_x + d_y a_y + d_z a_z + eps mu d_t phi
+from those sums, and residual_scale the sum of their moduli.  So a row
+makes 1 evaluation per source, whatever it asks for, except that a
+loop, helix, sheet or polyline, whose divergence of a has no closed
+form here, differences its own a at +-h on each axis for a residual:
+7 evaluations of that source.  A row within 3 h of a source's support,
+h = fd_step(point), writes no derivative column.
 """
 
 from __future__ import annotations
@@ -58,35 +62,59 @@ _DERIVATIVE_OUTPUTS = ("b", "e", "residual")
 class SourcePart:
     """One scene source turned into evaluator callables.
 
-    evaluate(point, t, want_b) -> PotentialResult  (the evaluator's own)
+    evaluate(point, t, want_b, want_e) -> PotentialResult
+        (the evaluator's own)
     near(point, t, radius, res) -> bool
         (within radius of the singular support; res is the part's
         result at that point, from which a polyline reads its distance)
     error(point, t, res) -> float    (where given)
 
-    The result's b is the source's magnetic field, or None where the
-    source forms none.  The closed forms (polyline, moving charge) and
-    the quadratures (loop, helix, sheet, on the potential's nodes) form
-    it only when want_b is true; the electric sources and a static
-    charge have none.  A point charge's phi, a and b all
-    come from one call of retarded.lienard_wiechert, from the charge's
-    present position.
+    Each part answers its own derivatives at the row point, with its
+    potentials.  The result's b is the source's magnetic field, formed
+    when want_b is true: in closed form (polyline, moving charge) or on
+    the potential's quadrature nodes (loop, helix, sheet).  Its e is the
+    electric field and its gauge the Lorenz-gauge terms (d_x a_x,
+    d_y a_y, d_z a_z, eps mu d_t phi), formed in closed form when
+    want_e is true by the electric sources: a point charge forms both
+    (a static one has gauge terms 0), a dipole and the plate wire only
+    e, their a being 0.  None stands for a quantity that is 0.  A point
+    charge's phi, a, b, e and gauge terms all come from one call of
+    retarded.lienard_wiechert, from the charge's present position.
+
+    The loop, helix, sheet and polyline have no e: their currents are
+    static and they have no phi.  Their divergence of a has no closed
+    form here, so gauge() forms it by central differences of the part's
+    own a at +-h, 6 more evaluations of that part alone, when a row
+    asks for the residual.
 
     The row's error is the result's error, unless the part has an
     error(), which makes it from the result.  That is for parts whose
     error costs more than their potentials (point charges, whose
-    result carries error NaN): compute_row calls it at the row point
-    only, since stencil points write no error.  A point charge's error
-    bounds phi; that of its a is smaller by |v| / c^2.
+    result carries error NaN).  A point charge's error bounds phi; that
+    of its a is smaller by |v| / c^2.
     """
 
-    def __init__(self, kind: str, evaluate, near, time_dependent=False,
-                 error=None):
+    def __init__(self, kind: str, evaluate, near, error=None,
+                 differenced=False):
         self.kind = kind
         self.evaluate = evaluate
         self.near = near
-        self.time_dependent = time_dependent
         self.error = error
+        self.differenced = differenced
+
+    def gauge(self, y: Point3, t: float, h: float, res) -> tuple | None:
+        """(d_x a_x, d_y a_y, d_z a_z, eps mu d_t phi) at y, where res
+        is the part's result there: res.gauge, or central differences
+        with step h for a part whose a is differenced.  None where all
+        four are 0."""
+        if not self.differenced:
+            return res.gauge
+        div = []
+        for axis in range(3):
+            hi = self.evaluate(y.shifted(axis, h), t).a.as_tuple()[axis]
+            lo = self.evaluate(y.shifted(axis, -h), t).a.as_tuple()[axis]
+            div.append((hi - lo) / (2.0 * h))
+        return div[0], div[1], div[2], 0.0
 
 
 def build_parts(scene: Scene) -> list[SourcePart]:
@@ -102,19 +130,21 @@ def _build_part(s: dict, medium: MediumConstants,
     if kind == "loop":
         a, cur, cz = s["radius"], s["current"], s["center_z"]
 
-        def evaluate(y: Point3, t: float, want_b: bool = False):
+        def evaluate(y: Point3, t: float, want_b: bool = False,
+                     want_e: bool = False):
             return magneto.loop_potential(a, cur, y, cfg, cz, medium, want_b)
 
         def near(y: Point3, t: float, radius: float, res) -> bool:
             return math.hypot(y.r - a, y.z - cz) < radius
 
-        return SourcePart(kind, evaluate, near)
+        return SourcePart(kind, evaluate, near, differenced=True)
 
     if kind == "helix":
         a, p, length = s["radius"], s["pitch"], s["length"]
         cur, s0 = s["current"], s["sigma0"]
 
-        def evaluate(y: Point3, t: float, want_b: bool = False):
+        def evaluate(y: Point3, t: float, want_b: bool = False,
+                     want_e: bool = False):
             return magneto.helix_potential(a, p, length, cur, y, cfg, s0,
                                            medium, want_b)
 
@@ -122,37 +152,41 @@ def _build_part(s: dict, medium: MediumConstants,
             return magneto.helix_distance(a, p, length, s0, y,
                                           radius) < radius
 
-        return SourcePart(kind, evaluate, near)
+        return SourcePart(kind, evaluate, near, differenced=True)
 
     if kind == "solenoid":
         a, p, length, k0 = s["radius"], s["pitch"], s["length"], s["kappa0"]
 
-        def evaluate(y: Point3, t: float, want_b: bool = False):
+        def evaluate(y: Point3, t: float, want_b: bool = False,
+                     want_e: bool = False):
             return magneto.solenoid_potential(a, p, length, k0, y, cfg,
                                               medium, want_b)
 
         def near(y: Point3, t: float, radius: float, res) -> bool:
             return cylinder_band_distance(a, 0.0, length, y) < radius
 
-        return SourcePart(kind, evaluate, near)
+        return SourcePart(kind, evaluate, near, differenced=True)
 
     if kind == "polyline":
         pts = [Point3(*p) for p in s["points"]]
         src = sources.polyline(pts, s["current"], s["closed"])
 
-        def evaluate(y: Point3, t: float, want_b: bool = False):
+        def evaluate(y: Point3, t: float, want_b: bool = False,
+                     want_e: bool = False):
             return magneto.curve_potential(src, y, cfg, medium, want_b)
 
         def near(y: Point3, t: float, radius: float, res) -> bool:
             return res.diagnostics["distance"] < radius
 
-        return SourcePart(kind, evaluate, near)
+        return SourcePart(kind, evaluate, near, differenced=True)
 
     if kind == "plate_wire":
         z0, lam, gap = s["z0"], s["lambda"], s["gap"]
 
-        def evaluate(y: Point3, t: float, want_b: bool = False):
-            return electro.plate_wire_potential(z0, lam, gap, y, medium)
+        def evaluate(y: Point3, t: float, want_b: bool = False,
+                     want_e: bool = False):
+            return electro.plate_wire_potential(z0, lam, gap, y, medium,
+                                               want_e)
 
         def near(y: Point3, t: float, radius: float, res) -> bool:
             return math.hypot(y.x, y.z - z0) < radius
@@ -167,9 +201,10 @@ def _build_part(s: dict, medium: MediumConstants,
         src = (sources.uniform_point_charge(q, x0, v) if moving
                else sources.static_point_charge(q, x0))
 
-        def evaluate(y: Point3, t: float, want_b: bool = False):
+        def evaluate(y: Point3, t: float, want_b: bool = False,
+                     want_e: bool = False):
             return retarded.lienard_wiechert(src, y, t, medium,
-                                             want_b and moving)
+                                             want_b and moving, want_e)
 
         def error(y: Point3, t: float, res) -> float:
             return retarded.rounding_bound(src, y, t, res, medium)[0]
@@ -177,15 +212,15 @@ def _build_part(s: dict, medium: MediumConstants,
         def near(y: Point3, t: float, radius: float, res) -> bool:
             return (y - src.position(t)).norm() < radius
 
-        return SourcePart(kind, evaluate, near, time_dependent=moving,
-                          error=error)
+        return SourcePart(kind, evaluate, near, error=error)
 
     if kind == "dipole":
         dip = sources.DipoleSource(Point3(*s["position"]),
                                    Vec3(*s["moment"]))
 
-        def evaluate(y: Point3, t: float, want_b: bool = False):
-            return electro.dipole_potential(dip, y, medium)
+        def evaluate(y: Point3, t: float, want_b: bool = False,
+                     want_e: bool = False):
+            return electro.dipole_potential(dip, y, medium, want_e)
 
         def near(y: Point3, t: float, radius: float, res) -> bool:
             return (y - dip.location).norm() < radius
@@ -221,39 +256,39 @@ def column_names(scene: Scene) -> list[str]:
 def compute_row(scene: Scene, parts: list[SourcePart],
                 coords: tuple) -> list:
     """One output row: coordinates, requested quantities, error, status."""
-    medium = scene.medium
     point = Point3(coords[0], coords[1], coords[2])
     t = coords[3] if len(coords) > 3 else 0.0
-    timed = any(p.time_dependent for p in parts) or scene.timed
     h = scene.fd_step(point.norm())
-    want_b = "b" in scene.outputs
+    outputs = scene.outputs
+    want_b = "b" in outputs
+    want_e = "e" in outputs or "residual" in outputs
     status = "ok"
 
-    def total(y: Point3, at: float, with_b: bool = False):
-        # b sums only the fields formed: skipping a +0.0 term moves no
-        # bit of a sum that starts at +0.0
-        ax = ay = az = phi = bx = by = bz = 0.0
-        results = [part.evaluate(y, at, with_b) for part in parts]
-        for res in results:
+    # potentials, and b and e when asked for, at the row point; each sum
+    # adds only the terms formed: skipping a +0.0 term moves no bit of a
+    # sum that starts at +0.0
+    pot_val = (_NAN,) * 4
+    b_sum = e_sum = (_NAN,) * 3
+    err_val = _NAN
+    try:
+        results = [part.evaluate(point, t, want_b, want_e) for part in parts]
+        ax = ay = az = phi = bx = by = bz = ex = ey = ez = 0.0
+        err_val = 0.0
+        for part, res in zip(parts, results):
             ax += res.a.x
             ay += res.a.y
             az += res.a.z
             phi += res.phi
-            if with_b and res.b is not None:
+            if res.b is not None:
                 bx += res.b.x
                 by += res.b.y
                 bz += res.b.z
-        return (ax, ay, az, phi), (bx, by, bz), results
-
-    # potentials, and b when asked for, at the row point
-    pot_val = (_NAN,) * 4
-    b_sum = (_NAN,) * 3
-    err_val = _NAN
-    try:
-        pot_val, b_sum, results = total(point, t, want_b)
-        err_val = 0.0
-        for part, res in zip(parts, results):
+            if res.e is not None:
+                ex += res.e.x
+                ey += res.e.y
+                ez += res.e.z
             err_val += part.error(point, t, res) if part.error else res.error
+        pot_val, b_sum, e_sum = (ax, ay, az, phi), (bx, by, bz), (ex, ey, ez)
         if (not all(res.converged for res in results)
                 or not math.isfinite(err_val)):
             status = "unconverged"
@@ -264,7 +299,7 @@ def compute_row(scene: Scene, parts: list[SourcePart],
     except ConvergenceError:
         status = "unconverged"
 
-    wants_derivative = any(o in scene.outputs for o in _DERIVATIVE_OUTPUTS)
+    wants_derivative = any(o in outputs for o in _DERIVATIVE_OUTPUTS)
     derivatives_ok = wants_derivative and status == "ok"
     if derivatives_ok and any(part.near(point, t, 3.0 * h, res)
                               for part, res in zip(parts, results)):
@@ -275,13 +310,23 @@ def compute_row(scene: Scene, parts: list[SourcePart],
     res_val = res_scale = _NAN
     if derivatives_ok:
         try:
-            if want_b and not all(math.isfinite(v) for v in b_sum):
-                raise OnSupportError("b not finite at %r" % (point,))
-            if "e" in scene.outputs or "residual" in scene.outputs:
-                e_val, res_val, res_scale = _derivatives(
-                    lambda y, at: total(y, at)[0], point, t, h, medium,
-                    timed, scene.outputs)
-            b_val = b_sum
+            gauge = []
+            if "residual" in outputs:
+                gauge = [0.0] * 4
+                for part, res in zip(parts, results):
+                    terms = part.gauge(point, t, h, res)
+                    if terms is not None:
+                        for i in range(4):
+                            gauge[i] += terms[i]
+            formed = ((b_sum if want_b else ())
+                      + (e_sum if "e" in outputs else ()) + tuple(gauge))
+            if not all(math.isfinite(v) for v in formed):
+                raise OnSupportError("derivative not finite at %r" % (point,))
+            b_val, e_val = b_sum, e_sum
+            if gauge:
+                dx, dy, dz, term = gauge
+                res_val = dx + dy + dz + term
+                res_scale = abs(dx) + abs(dy) + abs(dz) + abs(term)
         except OnSupportError:
             status = "on_support"
         except OutOfDomainError:
@@ -292,7 +337,7 @@ def compute_row(scene: Scene, parts: list[SourcePart],
     row = [point.x, point.y, point.z]
     if scene.timed:
         row.append(t)
-    for out in scene.outputs:
+    for out in outputs:
         if out == "a":
             row += pot_val[:3]
         elif out == "phi":
@@ -306,52 +351,6 @@ def compute_row(scene: Scene, parts: list[SourcePart],
     row.append(err_val)
     row.append(status)
     return row
-
-
-def _derivatives(pot, point: Point3, t: float, h: float,
-                 medium: MediumConstants, timed: bool, outputs) -> tuple:
-    """e, and the gauge residual div a + eps mu dphi/dt with its scale,
-    at one row point; the outputs not asked for are NaN.
-
-    Central differences of pot(y, t) -> (a_x, a_y, a_z, phi), each
-    stencil point evaluated once: +-h on the x, y and z axes, then
-    t +- dt for a timed row.  A potential that is not finite where it is
-    differenced raises OnSupportError.  The sums are those of -d phi
-    and -codifferential(a) in exterior3, so the results match that
-    route bit for bit, signed zeros included.
-    """
-    hi, lo = {}, {}
-    for axis in range(3):
-        hi[axis] = pot(point.shifted(axis, h), t)
-        lo[axis] = pot(point.shifted(axis, -h), t)
-    dt = h / medium.c
-    if timed:
-        later, earlier = pot(point, t + dt), pot(point, t - dt)
-
-    def d(i: int, axis: int) -> float:
-        """d/d(axis) of potential component i (a_x, a_y, a_z, phi)."""
-        up, down = hi[axis][i], lo[axis][i]
-        if not (math.isfinite(up) and math.isfinite(down)):
-            raise OnSupportError("potential not finite within the "
-                                 "difference stencil at %r" % (point,))
-        return (up - down) / (2.0 * h)
-
-    e = (_NAN,) * 3
-    res = scale = _NAN
-    if "e" in outputs:
-        e = tuple(-(0.0 + d(3, axis)) for axis in range(3))
-        if timed:
-            e = tuple(e[i] - (later[i] - earlier[i]) / (2.0 * dt)
-                      for i in range(3))
-    if "residual" in outputs:
-        div = [d(axis, axis) for axis in range(3)]
-        term = 0.0
-        if timed:
-            term = (medium.eps * medium.mu * (later[3] - earlier[3])
-                    / (2.0 * dt))
-        res = -(((0.0 - div[0]) - div[1]) - div[2]) + term
-        scale = abs(div[0]) + abs(div[1]) + abs(div[2]) + abs(term)
-    return e, res, scale
 
 
 # ---------------------------------------------------------------------------

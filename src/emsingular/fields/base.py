@@ -20,13 +20,16 @@ class PotentialResult:
     NaN where the bound costs more than the potentials and is formed
     apart (a point charge's: retarded.rounding_bound).  b is the
     magnetic field (tesla) where the evaluator forms it with the
-    potentials, else None.  diagnostics holds what not every kind has:
+    potentials, else None.  e is the electric field (volt/meter) and
+    gauge the Lorenz-gauge terms (d_x a_x, d_y a_y, d_z a_z,
+    eps mu d_t phi), each where the evaluator forms it in closed form
+    with the potentials, else None.  diagnostics holds what not every kind has:
     `evaluations` (integrand nodes), `b_error` (tesla, bounding b) and,
     for a polyline, `distance` (meters, from the point to the wire).
 
     Every field after a is keyword-only, so no call depends on their
-    order.  One is built per source at every stencil point of a row, so
-    the class is slotted and not frozen: a frozen dataclass sets each
+    order.  One is built per source for every row, so the class is
+    slotted and not frozen: a frozen dataclass sets each
     field through object.__setattr__, which costs more than some
     evaluators.
     """
@@ -39,6 +42,8 @@ class PotentialResult:
     converged: bool
     diagnostics: dict = field(default_factory=dict)
     b: Vec3 | None = None
+    e: Vec3 | None = None
+    gauge: tuple[float, float, float, float] | None = None
 
     def a_cyl(self) -> tuple[float, float, float]:
         """(a_r, a_phi, a_z) components about the z axis."""

@@ -4,7 +4,9 @@ fields.retarded's.
 
 The line charge's image series is summed in closed form, one logarithm
 for every field point.  Both evaluators return a rounding-level error
-bound as the result's error."""
+bound on phi as the result's error and, when asked, their electric
+field -grad phi in closed form from the same quantities.  Their a is 0,
+so their Lorenz-gauge terms are 0 and they form none."""
 
 from __future__ import annotations
 
@@ -23,8 +25,12 @@ EPS = 2.0 ** -52
 
 
 def dipole_potential(dip: DipoleSource, y: Point3,
-                     medium: MediumConstants = VACUUM) -> PotentialResult:
-    """Ideal dipole: phi = m . (y - x0) / (4 pi eps |y - x0|^3).
+                     medium: MediumConstants = VACUUM,
+                     want_e: bool = False) -> PotentialResult:
+    """Ideal dipole: phi = m . (y - x0) / (4 pi eps |y - x0|^3), and,
+    when want_e is set, its field as res.e (else None):
+
+        e = (3 (m . u) u - m) / (4 pi eps d^3),   u = (y - x0) / d.
 
     Written out in floats, one separation for the free kernel's
     coincidence floor and for the value.
@@ -63,12 +69,19 @@ def dipole_potential(dip: DipoleSource, y: Point3,
     else:
         err = (2.0 * (abs(m.x) + abs(m.y) + abs(m.z))
                / (4.0 * math.pi * medium.eps * d) / d)
+    e = None
+    if want_e:
+        ux, uy, uz = sx / d, sy / d, sz / d
+        mu3 = 3.0 * (num / d)
+        e = Vec3((mu3 * ux - m.x) / den, (mu3 * uy - m.y) / den,
+                 (mu3 * uz - m.z) / den)
     return PotentialResult(y, Vec3(0.0, 0.0, 0.0), phi=num / den, error=err,
-                           converged=True)
+                           converged=True, e=e)
 
 
 def plate_wire_potential(z0: float, lam: float, plate_gap: float, y: Point3,
-                         medium: MediumConstants = VACUUM) -> PotentialResult:
+                         medium: MediumConstants = VACUUM,
+                         want_e: bool = False) -> PotentialResult:
     """Line charge between grounded plates z = 0 and z = plate_gap = L.
 
     The wire runs parallel to the y axis through (x = 0, z = z0), with
@@ -101,6 +114,26 @@ def plate_wire_potential(z0: float, lam: float, plate_gap: float, y: Point3,
     |dphi| <= EPS * (20 + 3t) * |phi|.  No term grows near the wire or
     near a plate, since both differences are formed before scaling;
     the bound holds wherever q and the sines stay above underflow.
+
+    When want_e is set, res.e is -grad phi, differentiated through
+    r = A / D, A = 4 q sin b sin c, so that d phi = (lam / 4 pi eps)
+    (D dA - A dD) / (D (A + D)), with A + D = N.  Across the plates
+
+        d phi / dx = -(lam / 4 pi eps) k sgn(x) A (1 - q)(1 + q) / (D N),
+
+    a product of nonnegative terms, 0 at x = 0.  Along them, with
+    D dA - A dD reduced by sin(b - theta) = -sin(k (z + z0) / 2),
+    theta = k (z - z0) / 2,
+
+        d phi / dz = (lam / 4 pi eps) k 4 q sin c
+                     ((1 - q)^2 cos b - 4 q sin theta sin(k (z + z0) / 2))
+                     / (D N).
+
+    On the wire plane the first term is 0, so nothing cancels there; near
+    the wire the second dominates, and at a plate A = 0 and the bracket
+    is D.  cos b is formed as sin(k (L/2 - z)) and z + z0 above L as
+    (L - z) + (L - z0), so each sine has an argument accurate to its own
+    size.  On the plates phi is 0 and e is normal to them.
     """
     L = plate_gap
     if L <= 0.0:
@@ -112,22 +145,33 @@ def plate_wire_potential(z0: float, lam: float, plate_gap: float, y: Point3,
     if not (0.0 <= z <= L):
         raise OutOfDomainError(
             "z = %g outside the plate gap [0, %g]" % (z, L))
-    if z == 0.0 or z == L:
-        return PotentialResult(y, Vec3(0.0, 0.0, 0.0), error=0.0,
-                               converged=True)
+    on_plate = z == 0.0 or z == L
     dz = z - z0
     # the floor of y and (0, 0, z0), whose norm sqrt(z0 * z0) is |z0|
-    if math.hypot(y.x, dz) < kernels.norm_floor(y.norm(), abs(z0)):
+    if (not on_plate
+            and math.hypot(y.x, dz) < kernels.norm_floor(y.norm(), abs(z0))):
         raise OnSupportError("field point lies on the wire")
     k = math.pi / L
     t = k * abs(y.x)
     q = math.exp(-t)
     m = -math.expm1(-t)
     h = math.sin(0.5 * k * dz)
-    r = (4.0 * q * math.sin(k * min(z, L - z)) * math.sin(k * min(z0, L - z0))
-         / (m * m + 4.0 * q * h * h))
-    phi = lam / (4.0 * math.pi * medium.eps) * math.log1p(r)
-    # phi = 0 is exact also where t overflows to inf
-    err = EPS * (20.0 + 3.0 * t) * abs(phi) if phi else 0.0
+    sin_c = math.sin(k * min(z0, L - z0))
+    num = 4.0 * q * math.sin(k * min(z, L - z)) * sin_c
+    den = m * m + 4.0 * q * h * h
+    pref = lam / (4.0 * math.pi * medium.eps)
+    phi = err = 0.0
+    if not on_plate:
+        phi = pref * math.log1p(num / den)
+        # phi = 0 is exact also where t overflows to inf
+        err = EPS * (20.0 + 3.0 * t) * abs(phi) if phi else 0.0
+    e = None
+    if want_e:
+        zs = z + z0 if z + z0 <= L else (L - z) + (L - z0)
+        g = pref * k / (den * (num + den))
+        bracket = 4.0 * q * sin_c * (math.sin(k * (0.5 * L - z)) * m * m
+                                     - 4.0 * q * h * math.sin(0.5 * k * zs))
+        e = Vec3(math.copysign(num * m * (1.0 + q), y.x) * g, 0.0,
+                 -bracket * g)
     return PotentialResult(y, Vec3(0.0, 0.0, 0.0), phi=phi, error=err,
-                           converged=True)
+                           converged=True, e=e)

@@ -8,12 +8,15 @@ D = sqrt((w.v)^2 + k |w|^2) / c,
 
     phi = q / (4 pi eps D),   a = mu q v / (4 pi D),
 
-and the curl of a is Heaviside's field mu q k (v x w) / (4 pi c^2 D^3)
-(Jackson section 11.10).  lienard_wiechert forms all three from the
-one separation w, in plain floats, since it runs at every stencil
-point of every timed row; rounding_bound bounds the rounding of the
-potentials.  Nothing in it is divided by 1 - n.v/c, so it stays finite
-up to the last float below c.
+the curl of a is Heaviside's field mu q k (v x w) / (4 pi c^2 D^3)
+and the electric field is q k w / (4 pi eps c^2 D^3) (Jackson section
+11.10).  d_i a_i = -(mu q / 4 pi) v_i ((w.v) v_i + k w_i) / (c^2 D^3),
+and eps mu d_t phi = -(d_x a_x + d_y a_y + d_z a_z), since d/dt =
+-v.grad under uniform motion: the Lorenz gauge holds term by term.
+lienard_wiechert forms them all from the one separation w, in plain
+floats, since it runs at every row; rounding_bound bounds the rounding
+of the potentials.  Nothing in it is divided by 1 - n.v/c, so it stays
+finite up to the last float below c.
 
 The emission time is the verification route.  solve_retarded_time
 solves t' + |y - x(t')| / c = t, which has exactly one root when the
@@ -104,20 +107,28 @@ def _separation(src: PointSource, y: Point3, t: float, c: float,
 
 def lienard_wiechert(src: PointSource, y: Point3, t: float,
                      medium: MediumConstants = VACUUM,
-                     want_b: bool = False) -> PotentialResult:
-    """Potentials of the moving charge at (y, t), and its magnetic field
-    as res.b when want_b is set (else res.b is None).
+                     want_b: bool = False,
+                     want_e: bool = False) -> PotentialResult:
+    """Potentials of the moving charge at (y, t); its magnetic field as
+    res.b when want_b is set, and its electric field as res.e and its
+    Lorenz-gauge terms as res.gauge when want_e is set (else None).
 
     From w = y - x(t), k = c^2 - v.v and D = sqrt((w.v)^2 + k |w|^2) / c,
 
         phi = q / (4 pi eps D),   a = mu q v / (4 pi D),
-        b   = mu q k (v x w) / (4 pi c^2 D^3).
+        b   = mu q k (v x w) / (4 pi c^2 D^3),
+        e   = q k w / (4 pi eps c^2 D^3),
+        d_i a_i = -(mu q / 4 pi) v_i ((w.v) v_i + k w_i) / (c^2 D^3),
 
-    w is scaled by s (see _separation), always for b, and s is applied
-    last: 1 / D = s / D_s and b = s^2 (v x w_s) / D_s^3 times the
-    constants, for w_s = s w and D_s = s D, so neither D, v x w nor
-    D^3 overflows.  A field point at the present position, or within
-    the free kernel's coincidence floor of it, is refused with
+    and eps mu d_t phi = -(d_x a_x + d_y a_y + d_z a_z).  e and the
+    gauge terms take k with its rounding put back (_k_error), so they
+    stay accurate up to the last float below c; phi, a and b keep the
+    rounded k, which rounding_bound accounts for.  w is scaled by s
+    (see _separation), always for b, e and the gauge terms, and s is
+    applied last: 1 / D = s / D_s and w / D^3 = s^2 w_s / D_s^3, for
+    w_s = s w and D_s = s D, so neither D, the products with w nor D^3
+    overflows.  A field point at the present position, or within the
+    free kernel's coincidence floor of it, is refused with
     CoincidentPointsError.
 
     res.error is NaN: the rounding bound costs more than the potentials,
@@ -125,7 +136,7 @@ def lienard_wiechert(src: PointSource, y: Point3, t: float,
     """
     c = medium.c
     px, py, pz, wx, wy, wz, s, k, wv, w2, disc = _separation(
-        src, y, t, c, want_b)
+        src, y, t, c, want_b or want_e)
     if w2 == 0.0:
         raise CoincidentPointsError(
             "field point coincides with the emission point")
@@ -135,15 +146,29 @@ def lienard_wiechert(src: PointSource, y: Point3, t: float,
     root = math.sqrt(disc)                      # c D_s
     f = c * s / (4.0 * math.pi * root)          # 1 / (4 pi D)
     m = medium.mu * src.q * f
-    b = None
+    b = e = gauge = None
     if want_b:
         g = medium.mu * src.q * k * c / (4.0 * math.pi * root * root * root)
         b = Vec3((v.y * wz - v.z * wy) * g * s * s,
                  (v.z * wx - v.x * wz) * g * s * s,
                  (v.x * wy - v.y * wx) * g * s * s)
+    if want_e:
+        # e and the gauge terms are proportional to k, which keeps only
+        # the last bits of c^2 as v nears c: put its roundings back, and
+        # form D_s again from it
+        k += _k_error(v.x, v.y, v.z, c)
+        root = math.sqrt(wv * wv + k * w2)
+        cube = c / (4.0 * math.pi * root * root * root)   # 1/(4 pi c^2 D_s^3)
+        g = (src.q / medium.eps) * k * cube
+        e = Vec3(wx * g * s * s, wy * g * s * s, wz * g * s * s)
+        g = -medium.mu * src.q * cube
+        dx = v.x * (wv * v.x + k * wx) * g * s * s
+        dy = v.y * (wv * v.y + k * wy) * g * s * s
+        dz = v.z * (wv * v.z + k * wz) * g * s * s
+        gauge = (dx, dy, dz, -(dx + dy + dz))
     return PotentialResult(y, Vec3(v.x * m, v.y * m, v.z * m),
                            phi=(src.q / medium.eps) * f, error=math.nan,
-                           converged=True, b=b)
+                           converged=True, b=b, e=e, gauge=gauge)
 
 
 def rounding_bound(src: PointSource, y: Point3, t: float,
@@ -164,7 +189,7 @@ def rounding_bound(src: PointSource, y: Point3, t: float,
       eta disc.  w.v, a sum of three products, is within 3u |w| |v|,
       which e = 4u |w| |v| covers, and |w|^2 within 3u of itself.
       k = c*c - v.v is off c^2 - v.v by dk, taken exactly from its six
-      roundings (_k_rounding).  The squaring, the product and the sum
+      roundings (_k_error).  The squaring, the product and the sum
       add 5u disc at most, so
 
           eta disc <= 2 |w.v| e + 3 e^2 + dk |w|^2 + 5u disc.
@@ -191,7 +216,7 @@ def rounding_bound(src: PointSource, y: Point3, t: float,
     vv = vx * vx + vy * vy + vz * vz
     _, _, _, wx, wy, wz, s, k, wv, w2, disc = _separation(src, y, t, c, True)
     e = 2.0 * EPS * math.sqrt(w2 * vv)
-    dk = _k_rounding(vx, vy, vz, c)
+    dk = abs(_k_error(vx, vy, vz, c)) * (1.0 + EPS)
     eta = (2.0 * abs(wv) * e + 3.0 * e * e + dk * w2) / disc + 3.0 * EPS
     dx, dy, dz = _w_rounding(src, y, t)
     dx, dy, dz = dx * s, dy * s, dz * s
@@ -222,12 +247,12 @@ def _w_rounding(src: PointSource, y: Point3,
 
 
 @functools.lru_cache(maxsize=64)
-def _k_rounding(vx: float, vy: float, vz: float, c: float) -> float:
-    """A bound on |k - (c^2 - v.v)| for k = c*c - v.v as _separation
-    forms it: the exact errors of its six roundings, summed by fsum to
-    within u of their sum, which 1 + EPS covers.  Exact wherever no
-    product of v's components underflows.  Cached: it depends on the
-    charge's v and the medium's c alone, and runs at every row."""
+def _k_error(vx: float, vy: float, vz: float, c: float) -> float:
+    """(c^2 - v.v) - k for k = c*c - v.v as _separation forms it: the
+    exact errors of its six roundings, summed by fsum to within u of
+    their sum.  Exact wherever no product of v's components underflows.
+    Cached: it depends on the charge's v and the medium's c alone, and
+    runs at every row."""
     cc, e_cc = two_product(c, c)
     px, e_x = two_product(vx, vx)
     py, e_y = two_product(vy, vy)
@@ -236,37 +261,49 @@ def _k_rounding(vx: float, vy: float, vz: float, c: float) -> float:
     vv, e_vv = two_sum(s, pz)
     _, e_k = two_sum(cc, -vv)
     # k + e_k = cc - vv, cc + e_cc = c^2 and vv + e_vv + e_s + e_x + e_y
-    # + e_z = v.v, so k - (c^2 - v.v) = -(e_k + e_cc - e_vv - e_s - ...)
-    return abs(math.fsum((e_k, e_cc, -e_vv, -e_s, -e_x, -e_y, -e_z))) \
-        * (1.0 + EPS)
+    # + e_z = v.v, so (c^2 - v.v) - k = e_k + e_cc - e_vv - e_s - ...
+    return math.fsum((e_k, e_cc, -e_vv, -e_s, -e_x, -e_y, -e_z))
+
+
+def lorenz_gauge_terms(src: PointSource, y: Point3, t: float,
+                       medium: MediumConstants = VACUUM,
+                       h: float | None = None,
+                       dt: float | None = None) -> tuple:
+    """(d_x a_x, d_y a_y, d_z a_z, eps mu dphi/dt) at (y, t), by central
+    differences of lienard_wiechert's potentials with steps h and dt:
+    the stencil route that selfcheck holds the closed forms to."""
+    if h is None:
+        h = exterior3.default_step(y)
+    if dt is None:
+        dt = h / medium.c
+
+    terms = []
+    for ax in range(3):
+        hi = lienard_wiechert(src, y.shifted(ax, +h), t, medium).a
+        lo = lienard_wiechert(src, y.shifted(ax, -h), t, medium).a
+        terms.append((hi.as_tuple()[ax] - lo.as_tuple()[ax]) / (2.0 * h))
+
+    phi_hi = lienard_wiechert(src, y, t + dt, medium).phi
+    phi_lo = lienard_wiechert(src, y, t - dt, medium).phi
+    dphi_dt = (phi_hi - phi_lo) / (2.0 * dt)
+    terms.append(medium.eps * medium.mu * dphi_dt)
+    return tuple(terms)
 
 
 def lorenz_gauge_residual(src: PointSource, y: Point3, t: float,
                           medium: MediumConstants = VACUUM,
                           h: float | None = None,
                           dt: float | None = None) -> tuple[float, float]:
-    """(residual, scale) for div A + eps mu dphi/dt at (y, t).
+    """(residual, scale) for div A + eps mu dphi/dt at (y, t), from
+    lorenz_gauge_terms.
 
     The scale is the sum of the magnitudes of the two contributions;
     a correct evaluator leaves a residual that is finite-difference
     noise, orders of magnitude below the scale."""
-    if h is None:
-        h = exterior3.default_step(y)
-    if dt is None:
-        dt = h / medium.c
-
+    *div, term = lorenz_gauge_terms(src, y, t, medium, h, dt)
     div_a = 0.0
     mag = 0.0
-    for ax in range(3):
-        hi = lienard_wiechert(src, y.shifted(ax, +h), t, medium).a
-        lo = lienard_wiechert(src, y.shifted(ax, -h), t, medium).a
-        d = (hi.as_tuple()[ax] - lo.as_tuple()[ax]) / (2.0 * h)
+    for d in div:
         div_a += d
         mag += abs(d)
-
-    phi_hi = lienard_wiechert(src, y, t + dt, medium).phi
-    phi_lo = lienard_wiechert(src, y, t - dt, medium).phi
-    dphi_dt = (phi_hi - phi_lo) / (2.0 * dt)
-    term = medium.eps * medium.mu * dphi_dt
-    residual = div_a + term
-    return residual, mag + abs(term)
+    return div_a + term, mag + abs(term)

@@ -12,9 +12,10 @@ Top-level keys:
     medium: {eps, mu}              optional, SI vacuum by default
     quadrature: {abs_tol, rel_tol, max_subdivisions}   optional
     fd_step: float                 optional; default (rel_tol)^(1/3)*scale;
-                                   sets the difference step of e and
-                                   residual and the on_support radius,
-                                   3 fd_step (b takes no step)
+                                   sets the on_support radius, 3 fd_step,
+                                   and the step at which a loop, helix,
+                                   sheet or polyline differences its own
+                                   a for residual (b and e take no step)
     sources: [...]                 required, at least one
     grid: {x, y, z, time}          required; each axis {start, stop, count}
                                    or a bare number (count 1)

@@ -20,12 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import exterior3, kernels
 from .fields import electro, magneto, retarded
 from .fields.medium import C0, EPS0, MU0, VACUUM
 from .geometry import Point3, Vec3
 from .quad import QuadConfig, integrate_adaptive, sum_series
-from .sources import (solenoid_sheet, crossing_density,
+from .sources import (DipoleSource, solenoid_sheet, crossing_density,
                       uniform_point_charge, static_point_charge)
 
 FOUR_PI = 4.0 * math.pi
@@ -406,9 +406,13 @@ def check_gauge_residuals() -> CheckResult:
                 continue
             worst_static = max(worst_static, abs(div) / scale)
 
+    # the Lorenz gauge by the stencil, and the closed forms the row
+    # writes against stencils: the moving charge's gauge terms against
+    # lorenz_gauge_terms, and each electric kind's e against
+    # -d phi (exterior3.d_numeric) - da/dt
     src = uniform_point_charge(1e-9, Point3(0.1, -0.2, 0.0),
                                Vec3(0.3 * C0, 0.1 * C0, -0.2 * C0))
-    worst_lorenz = 0.0
+    worst_lorenz = worst_forms = 0.0
     for _ in range(10):
         y = Point3(rng.uniform(-4, 4), rng.uniform(-4, 4),
                    rng.uniform(-4, 4))
@@ -417,13 +421,64 @@ def check_gauge_residuals() -> CheckResult:
             y = Point3(y.x, y.y + 2.0, y.z)
         resid, scale = retarded.lorenz_gauge_residual(src, y, t)
         worst_lorenz = max(worst_lorenz, abs(resid) / scale)
+        res = retarded.lienard_wiechert(src, y, t, want_e=True)
+        h = exterior3.default_step(y)
+        worst_forms = max(worst_forms, _past_truncation(
+            res.gauge, lambda f: retarded.lorenz_gauge_terms(
+                src, y, t, h=f * h)))
+
+    charge = static_point_charge(-2e-9, Point3(0.3, -0.1, 0.2))
+    dipole = DipoleSource(Point3(-0.3, 0.1, 0.5), Vec3(1e-11, -2e-11, 5e-12))
+    kinds = [
+        lambda p, at, e=False: retarded.lienard_wiechert(src, p, at,
+                                                         want_e=e),
+        lambda p, at, e=False: retarded.lienard_wiechert(charge, p, at,
+                                                         want_e=e),
+        lambda p, at, e=False: electro.dipole_potential(dipole, p,
+                                                        want_e=e),
+        lambda p, at, e=False: electro.plate_wire_potential(
+            0.4, 1e-9, 1.0, p, want_e=e),
+    ]
+    for evaluate in kinds:
+        for _ in range(5):
+            y = Point3(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0),
+                       rng.uniform(0.05, 0.95))
+            t = rng.uniform(-1e-9, 1e-9)
+            h = exterior3.default_step(y)
+            worst_forms = max(worst_forms, _past_truncation(
+                evaluate(y, t, True).e.as_tuple(),
+                lambda f: _stencil_e(evaluate, y, t, f * h)))
 
     dt = time.perf_counter() - start
-    ok = worst_static <= 1e-4 and worst_lorenz <= 1e-4
+    ok = worst_static <= 1e-4 and worst_lorenz <= 1e-4 and worst_forms <= 1.0
     return CheckResult(
         "gauge_residuals", ok,
-        "static div A %.3g, Lorenz %.3g of local scale (tol 1e-4)"
-        % (worst_static, worst_lorenz), dt)
+        "static div A %.3g, Lorenz %.3g of local scale (tol 1e-4); "
+        "closed forms %.3g of the stencil's truncation (tol 1)"
+        % (worst_static, worst_lorenz, worst_forms), dt)
+
+
+def _stencil_e(evaluate, y: Point3, t: float, h: float) -> tuple:
+    """-d phi - da/dt at (y, t) for evaluate(point, t) -> PotentialResult:
+    exterior3.d_numeric of phi with step h, and a central difference of
+    a with step h / c."""
+    phi = exterior3.FormField.scalar(lambda p, at: evaluate(p, at).phi)
+    grad = exterior3.d_numeric(phi, y, t, h)
+    dt = h / C0
+    da = (evaluate(y, t + dt).a - evaluate(y, t - dt).a) / (2.0 * dt)
+    return tuple(-grad[(i,)] - da.as_tuple()[i] for i in range(3))
+
+
+def _past_truncation(closed, stencil) -> float:
+    """The worst |c - s(h)| / (2 |s(h) - s(h / 2)| + 1e-9 sum |c|) over
+    the components c of a closed form and s of stencil(f), its central
+    differences with step f h: at most 1 where the closed form is the
+    stencil's limit, since s(h) - s(h / 2) is 3/4 of s(h)'s truncation,
+    and the 1e-9 covers the stencil's rounding."""
+    coarse, fine = stencil(1.0), stencil(0.5)
+    floor = 1e-9 * sum(abs(c) for c in closed)
+    return max((abs(c - s) / (2.0 * abs(s - f) + floor) if c != s else 0.0)
+               for c, s, f in zip(closed, coarse, fine))
 
 
 # ---------------------------------------------------------------------------

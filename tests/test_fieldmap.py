@@ -1,15 +1,16 @@
 """fieldmap.compute_row: source evaluations per row, statuses, determinism.
 
-Every source gives b itself, at the row point, so an [a, b] row makes
-one evaluation.  e and the residual difference the potentials: every
-distinct stencil point of such a row is evaluated once, the point
-itself, +-h on each axis, and t +- dt when the scene is timed.  The
-counts below are per source and per row.
+Every source gives its own b, e and Lorenz-gauge terms at the row
+point, so a row makes one evaluation per source, whatever it asks for.
+The one exception is a residual row with a loop, helix, sheet or
+polyline: such a part differences its own a at +-h on each axis, 7
+evaluations of it.  The counts below are per source and per row.
 """
 
 import math
 import textwrap
 
+import mpmath
 import pytest
 
 from emsingular import cli, exterior3, fieldmap
@@ -59,32 +60,34 @@ def row_dict(scene, row):
 
 
 @pytest.mark.parametrize("sources, outputs, coords, expected", [
-    ([LOOP, SQUARE], ["a"], (0.5, 0.0, 0.3), 1),
-    ([LOOP, SQUARE], ["a", "b"], (0.5, 0.0, 0.3), 1),
-    ([PLATE_WIRE, DIPOLE], ["phi", "e", "residual"], (0.3, 0.0, 0.5), 7),
-], ids=["a", "a_b", "static_phi_e_residual"])
+    ([LOOP, SQUARE], ["a"], (0.5, 0.0, 0.3), [1, 1]),
+    ([LOOP, SQUARE], ["a", "b"], (0.5, 0.0, 0.3), [1, 1]),
+    ([PLATE_WIRE, DIPOLE], ["phi", "e", "residual"], (0.3, 0.0, 0.5),
+     [1, 1]),
+    ([LOOP, DIPOLE], ["a", "e", "residual"], (0.5, 0.0, 0.3), [7, 1]),
+], ids=["a", "a_b", "static_phi_e_residual", "loop_residual"])
 def test_static_rows_evaluate_each_stencil_point_once(sources, outputs,
                                                       coords, expected):
     scene = make_scene(sources, outputs)
     parts, calls = counted_parts(scene)
     row = fieldmap.compute_row(scene, parts, coords)
     assert row[-1] == "ok"
-    assert calls == [expected] * len(parts)
+    assert calls == expected
 
 
-def test_timed_row_evaluates_nine_points():
+def test_timed_row_evaluates_each_source_once():
     scene = make_scene([PLATE_WIRE, MOVING_CHARGE, DIPOLE],
                        ["phi", "a", "e", "residual"],
                        time={"start": 0.0, "stop": 2e-9, "count": 2})
     parts, calls = counted_parts(scene)
     row = fieldmap.compute_row(scene, parts, (0.3, 0.2, 0.5, 2e-9))
     assert row[-1] == "ok"
-    assert calls == [9, 9, 9]
+    assert calls == [1, 1, 1]
 
 
 def test_point_charge_bound_runs_at_the_row_point_only(monkeypatch):
     # the rounding bound costs more than the potentials and only the
-    # row point's error is written, so the stencil's 8 points skip it
+    # row point's error is written: one call per charge and row
     calls = []
     bound = retarded.rounding_bound
 
@@ -179,12 +182,11 @@ def test_polyline_row_forms_each_segment_once(monkeypatch):
     assert len(calls) == len(SQUARE["points"]) - 1
 
 
-def exterior3_columns(scene, parts, point, t):
+def exterior3_columns(scene, parts, point, t, h):
     """b, e and residual columns by the exterior3 route (derive_b,
-    d_numeric, codifferential) over a plain, uncached sum of the parts'
-    potentials."""
+    d_numeric, codifferential) with step h, over a plain, uncached sum
+    of the parts' potentials."""
     medium = scene.medium
-    h = scene.fd_step(point.norm())
     dt = h / medium.c
 
     def total(p, at):
@@ -236,9 +238,10 @@ SHARED_STENCIL_ROWS = [
 
 
 def test_shared_points_give_the_unshared_stencil_values():
-    # e and the residual match the exterior3 route bit for bit; b comes
-    # from the sources and matches the curl of the summed a within the
-    # stencil's truncation, seen as the change from h to h / 2
+    # b, e and the residual come from the sources' own closed forms or
+    # quadratures, and match the exterior3 route's differences of the
+    # summed potentials within that route's truncation, seen as the
+    # change from h to h / 2
     for sources, outputs, coords, time in SHARED_STENCIL_ROWS:
         scene = make_scene(sources, outputs, time=time)
         parts = fieldmap.build_parts(scene)
@@ -246,68 +249,63 @@ def test_shared_points_give_the_unshared_stencil_values():
         assert row["status"] == "ok", outputs
         t = coords[3] if time else 0.0
         point = Point3(*coords[:3])
-        expected = exterior3_columns(scene, parts, point, t)
-        b_cols = ("b_x", "b_y", "b_z")
-        curl = {k: expected.pop(k) for k in b_cols if k in expected}
-        # repr tells signed zeros apart
-        assert {k: repr(row[k]) for k in expected} == {
-            k: repr(v) for k, v in expected.items()}, outputs
+        h = scene.fd_step(point.norm())
+        coarse = exterior3_columns(scene, parts, point, t, h)
+        fine = exterior3_columns(scene, parts, point, t, 0.5 * h)
         if outputs == ["b", "e"]:
             # no source with a field: every b component is +0.0
-            assert [repr(row[k]) for k in b_cols] == ["0.0", "0.0", "0.0"]
-        elif curl:
-            h = scene.fd_step(point.norm())
-            half = magneto.derive_b(
-                lambda p: sum((part.evaluate(p, t).a for part in parts),
-                              Vec3(0.0, 0.0, 0.0)), 0.5 * h)(point)
-            trunc = max(abs(curl[k] - v)
-                        for k, v in zip(b_cols, half.as_tuple()))
-            assert trunc > 0.0
-            for k, v in zip(b_cols, half.as_tuple()):
-                assert abs(row[k] - v) <= 2.0 * trunc, k
+            assert [repr(row[k]) for k in ("b_x", "b_y", "b_z")] == [
+                "0.0", "0.0", "0.0"]
+            for k in ("b_x", "b_y", "b_z"):
+                del coarse[k], fine[k]
+        for k, v in fine.items():
+            trunc = abs(coarse[k] - v)
+            assert abs(row[k] - v) <= 2.0 * trunc, (outputs, k)
 
 
 def test_row_e_of_a_static_charge_is_the_coulomb_field():
     q = 1e-9
     charge = {"type": "point_charge", "q": q, "position": [0.0, 0.0, 0.0]}
-    scene = make_scene([charge], ["e"], fd_step=1e-5)
+    scene = make_scene([charge], ["e"])
     y = Point3(1.0, 2.0, -2.0)
     row = row_dict(scene, fieldmap.compute_row(
         scene, fieldmap.build_parts(scene), y.as_tuple()))
     assert row["status"] == "ok"
     e = Vec3(row["e_x"], row["e_y"], row["e_z"])
     r = y.norm()
+    # the closed form, with no difference step: rounding alone
     assert e.norm() == pytest.approx(q / (4.0 * math.pi * EPS0 * r * r),
-                                     rel=1e-7)
+                                     rel=1e-14)
     # radially outward for a positive charge
-    assert e.cross(y - Point3(0.0, 0.0, 0.0)).norm() < 1e-7 * e.norm() * r
+    assert e.cross(y - Point3(0.0, 0.0, 0.0)).norm() < 1e-14 * e.norm() * r
     assert e.dot(y - Point3(0.0, 0.0, 0.0)) > 0.0
 
 
-@pytest.mark.parametrize("outputs, component", [
-    (["a", "b", "residual"], "a_x"),
-    (["phi", "b", "e", "residual"], "phi"),
-], ids=["a_x_in_divergence", "phi_in_gradient"])
-def test_non_finite_stencil_potential_refuses_the_derivatives(outputs,
-                                                              component):
-    # the loop's potential is made infinite at x + h only; b comes from
-    # the sources and could be written, the differenced columns not,
-    # and the row writes none of them
+@pytest.mark.parametrize("outputs", [["a", "b", "residual"]],
+                         ids=["a_x_in_divergence"])
+def test_non_finite_stencil_potential_refuses_the_derivatives(outputs):
+    # the loop differences its own a for the residual; its a_x is made
+    # infinite at x + h only.  b comes from the sources and could be
+    # written, the residual not, and the row writes neither
     scene = make_scene([LOOP, DIPOLE], outputs)
     coords = (0.5, 0.0, 0.3)
     bad = Point3(*coords).shifted(0, scene.fd_step(Point3(*coords).norm()))
     parts = fieldmap.build_parts(scene)
     inner = parts[0].evaluate
 
-    def evaluate(y, t, want_b=False):
-        res = inner(y, t, want_b)
-        if y == bad and component == "a_x":
+    def evaluate(y, t, want_b=False, want_e=False):
+        res = inner(y, t, want_b, want_e)
+        if y == bad:
             res.a = Vec3(math.inf, res.a.y, res.a.z)
-        elif y == bad:
-            res.phi = math.inf
         return res
 
     parts[0].evaluate = evaluate
+    assert_derivatives_refused(scene, parts, coords)
+
+
+def assert_derivatives_refused(scene, parts, coords):
+    """The row at coords is on_support with every derivative column NaN,
+    and its potentials are those of a clean row, which is ok."""
     row = row_dict(scene, fieldmap.compute_row(scene, parts, coords))
     clean = row_dict(scene, fieldmap.compute_row(
         scene, fieldmap.build_parts(scene), coords))
@@ -316,7 +314,32 @@ def test_non_finite_stencil_potential_refuses_the_derivatives(outputs,
     derivatives = [k for k in row if k.split("_")[0] in ("b", "e", "residual")]
     assert derivatives and all(math.isnan(row[k]) for k in derivatives)
     potentials = [k for k in row if k.split("_")[0] in ("a", "phi")]
+    assert potentials
     assert [row[k] for k in potentials] == [clean[k] for k in potentials]
+
+
+@pytest.mark.parametrize("source, quantity", [
+    (DIPOLE, "e"), (PLATE_WIRE, "e"), (MOVING_CHARGE, "e"),
+    (MOVING_CHARGE, "gauge"),
+], ids=["dipole_e", "plate_wire_e", "charge_e", "charge_gauge"])
+def test_non_finite_closed_form_refuses_the_derivatives(source, quantity):
+    # one component of a source's closed-form e or gauge terms is made
+    # infinite: every derivative column is refused, b included
+    scene = make_scene([LOOP, source], ["phi", "a", "b", "e", "residual"])
+    coords = (0.5, 0.2, 0.3)
+    parts = fieldmap.build_parts(scene)
+    inner = parts[1].evaluate
+
+    def evaluate(y, t, want_b=False, want_e=False):
+        res = inner(y, t, want_b, want_e)
+        if quantity == "e":
+            res.e = Vec3(res.e.x, math.inf, res.e.z)
+        else:
+            res.gauge = res.gauge[:3] + (math.nan,)
+        return res
+
+    parts[1].evaluate = evaluate
+    assert_derivatives_refused(scene, parts, coords)
 
 
 def test_row_two_steps_from_a_loop_is_on_support():
@@ -371,14 +394,42 @@ def test_row_two_steps_from_a_helix_wire_is_on_support(scan_calls):
     assert scan_calls                     # the band could not clear it
 
 
-def test_plate_wire_stencil_leaving_the_gap_is_out_of_domain():
+def test_plate_wire_row_half_a_step_from_a_plate_is_ok():
+    # no difference stencil leaves the gap: e_z is the closed form's,
+    # within 1e-12 of the 60-digit derivative of the image sum
     scene = make_scene([PLATE_WIRE], ["phi", "e"])
     z = 1.0 - 0.5 * scene.fd_step(1.0)
-    parts, _ = counted_parts(scene)
+    parts, calls = counted_parts(scene)
     row = row_dict(scene, fieldmap.compute_row(scene, parts, (0.3, 0.0, z)))
-    assert row["status"] == "out_of_domain"
-    assert not math.isnan(row["phi"])
-    assert math.isnan(row["e_z"])
+    assert row["status"] == "ok"
+    assert calls == [1]
+    with mpmath.workdps(60):
+        z0, lam, gap = (mpmath.mpf(PLATE_WIRE[k])
+                        for k in ("z0", "lambda", "gap"))
+        k = mpmath.pi / gap
+        q = mpmath.exp(-k * mpmath.mpf(0.3))
+
+        def phi(u):
+            # the image sum's closed form (1/4) ln(N / D)
+            num = 1 - 2 * q * mpmath.cos(k * (u + z0)) + q * q
+            den = 1 - 2 * q * mpmath.cos(k * (u - z0)) + q * q
+            return lam / (4 * mpmath.pi * mpmath.mpf(EPS0)) * mpmath.log(
+                num / den)
+
+        e_z = -mpmath.diff(phi, mpmath.mpf(z))
+        assert abs(mpmath.mpf(row["e_z"]) - e_z) <= 1e-12 * abs(e_z)
+
+
+def test_loop_residual_row_is_within_its_stencil_noise():
+    # the loop's own central differences of a: div a is 0 off the wire,
+    # and the row leaves a residual far below its scale
+    scene = make_scene([LOOP, DIPOLE], ["a", "residual"])
+    for coords in ((0.5, 0.3, 0.3), (1.4, -0.7, 0.2), (0.1, 0.2, -1.5)):
+        row = row_dict(scene, fieldmap.compute_row(
+            scene, fieldmap.build_parts(scene), coords))
+        assert row["status"] == "ok"
+        assert row["residual_scale"] > 0.0
+        assert abs(row["residual"]) <= 1e-4 * row["residual_scale"], coords
 
 
 TIMED_SCENE = """\

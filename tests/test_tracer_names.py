@@ -63,8 +63,9 @@ def counted_run(tmp_path, monkeypatch, scene_text):
 
 
 def test_traced_names_count_every_source_evaluation(tmp_path, monkeypatch):
-    # each ok timed row evaluates every source at its 9 stencil points;
-    # a wrapper at a name the program no longer calls would read 0.
+    # each ok timed row evaluates every source once, at the row point,
+    # since each source gives its own e and gauge terms; a wrapper at a
+    # name the program no longer calls would read 0.
     # A point charge is evaluated from its present position: no row
     # solves for an emission time
     calls, statuses = counted_run(tmp_path, monkeypatch, """\
@@ -92,7 +93,7 @@ def test_traced_names_count_every_source_evaluation(tmp_path, monkeypatch):
     for name in ("emsingular.fields.electro.plate_wire_potential",
                  "emsingular.fields.electro.dipole_potential",
                  "emsingular.fields.retarded.lienard_wiechert"):
-        assert calls[name] == 9 * 12, name
+        assert calls[name] == 12, name
     assert calls["emsingular.fields.retarded.solve_retarded_time"] == 0
     # the wire's image series is summed in closed form
     assert calls["emsingular.fields.electro.sum_series"] == 0
