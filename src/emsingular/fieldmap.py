@@ -66,8 +66,8 @@ class SourcePart:
         (the evaluator's own)
     near(point, t, radius, res) -> bool
         (within radius of the singular support; res is the part's
-        result at that point, from which a polyline reads its distance)
-    error(point, t, res) -> float    (where given)
+        result at that point, from which a polyline, a point charge and
+        a dipole read their distance)
 
     Each part answers its own derivatives at the row point, with its
     potentials.  The result's b is the source's magnetic field, formed
@@ -78,8 +78,9 @@ class SourcePart:
     want_e is true by the electric sources: a point charge forms both
     (a static one has gauge terms 0), a dipole and the plate wire only
     e, their a being 0.  None stands for a quantity that is 0.  A point
-    charge's phi, a, b, e and gauge terms all come from one call of
-    retarded.lienard_wiechert, from the charge's present position.
+    charge's phi, a, b, e and gauge terms, its error and its distance
+    all come from one call of retarded.lienard_wiechert, from the
+    charge's present position.
 
     The loop, helix, sheet and polyline have no e: their currents are
     static and they have no phi.  Their divergence of a has no closed
@@ -87,19 +88,14 @@ class SourcePart:
     own a at +-h, 6 more evaluations of that part alone, when a row
     asks for the residual.
 
-    The row's error is the result's error, unless the part has an
-    error(), which makes it from the result.  That is for parts whose
-    error costs more than their potentials (point charges, whose
-    result carries error NaN).  A point charge's error bounds phi; that
-    of its a is smaller by |v| / c^2.
+    The row's error is the result's error.  A point charge's bounds the
+    rounding of its phi; that of its a is smaller by |v| / c^2.
     """
 
-    def __init__(self, kind: str, evaluate, near, error=None,
-                 differenced=False):
+    def __init__(self, kind: str, evaluate, near, differenced=False):
         self.kind = kind
         self.evaluate = evaluate
         self.near = near
-        self.error = error
         self.differenced = differenced
 
     def gauge(self, y: Point3, t: float, h: float, res) -> tuple | None:
@@ -175,10 +171,7 @@ def _build_part(s: dict, medium: MediumConstants,
                      want_e: bool = False):
             return magneto.curve_potential(src, y, cfg, medium, want_b)
 
-        def near(y: Point3, t: float, radius: float, res) -> bool:
-            return res.diagnostics["distance"] < radius
-
-        return SourcePart(kind, evaluate, near, differenced=True)
+        return SourcePart(kind, evaluate, _near_by_distance, differenced=True)
 
     if kind == "plate_wire":
         z0, lam, gap = s["z0"], s["lambda"], s["gap"]
@@ -206,13 +199,7 @@ def _build_part(s: dict, medium: MediumConstants,
             return retarded.lienard_wiechert(src, y, t, medium,
                                              want_b and moving, want_e)
 
-        def error(y: Point3, t: float, res) -> float:
-            return retarded.rounding_bound(src, y, t, res, medium)[0]
-
-        def near(y: Point3, t: float, radius: float, res) -> bool:
-            return (y - src.position(t)).norm() < radius
-
-        return SourcePart(kind, evaluate, near, error=error)
+        return SourcePart(kind, evaluate, _near_by_distance)
 
     if kind == "dipole":
         dip = sources.DipoleSource(Point3(*s["position"]),
@@ -222,12 +209,14 @@ def _build_part(s: dict, medium: MediumConstants,
                      want_e: bool = False):
             return electro.dipole_potential(dip, y, medium, want_e)
 
-        def near(y: Point3, t: float, radius: float, res) -> bool:
-            return (y - dip.location).norm() < radius
-
-        return SourcePart(kind, evaluate, near)
+        return SourcePart(kind, evaluate, _near_by_distance)
 
     raise ValueError("unhandled source type %r" % kind)
+
+
+def _near_by_distance(y: Point3, t: float, radius: float, res) -> bool:
+    """near() of a part whose result carries its distance to y."""
+    return res.diagnostics["distance"] < radius
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +263,7 @@ def compute_row(scene: Scene, parts: list[SourcePart],
         results = [part.evaluate(point, t, want_b, want_e) for part in parts]
         ax = ay = az = phi = bx = by = bz = ex = ey = ez = 0.0
         err_val = 0.0
-        for part, res in zip(parts, results):
+        for res in results:
             ax += res.a.x
             ay += res.a.y
             az += res.a.z
@@ -287,7 +276,7 @@ def compute_row(scene: Scene, parts: list[SourcePart],
                 ex += res.e.x
                 ey += res.e.y
                 ez += res.e.z
-            err_val += part.error(point, t, res) if part.error else res.error
+            err_val += res.error
         pot_val, b_sum, e_sum = (ax, ay, az, phi), (bx, by, bz), (ex, ey, ez)
         if (not all(res.converged for res in results)
                 or not math.isfinite(err_val)):
@@ -370,8 +359,10 @@ def write_csv(fh, scene: Scene, columns: list[str], rows: list) -> None:
     fh.write("# units: %s\n" % UNITS_LINE)
     fh.write("# sign_conventions: %s\n" % SIGN_CONVENTIONS_VERSION)
     fh.write(",".join(columns) + "\n")
+    # a row is floats and its status last; repr writes nan, inf and -0.0
+    # as format_value does
     for row in rows:
-        fh.write(",".join(format_value(v) for v in row) + "\n")
+        fh.write(",".join([*map(repr, row[:-1]), row[-1]]) + "\n")
 
 
 def write_doc(fh, scene: Scene, columns: list[str], rows: list) -> None:

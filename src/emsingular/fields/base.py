@@ -16,16 +16,16 @@ class PotentialResult:
     (volts); either may be zero for purely magnetic or purely electric
     sources.  error bounds the error of every component of a and of
     phi (quadrature or rounding), and converged says whether the
-    quadrature met its tolerance; every evaluator sets both.  error is
-    NaN where the bound costs more than the potentials and is formed
-    apart (a point charge's: retarded.rounding_bound).  b is the
+    quadrature met its tolerance; every evaluator sets both.  b is the
     magnetic field (tesla) where the evaluator forms it with the
     potentials, else None.  e is the electric field (volt/meter) and
     gauge the Lorenz-gauge terms (d_x a_x, d_y a_y, d_z a_z,
     eps mu d_t phi), each where the evaluator forms it in closed form
-    with the potentials, else None.  diagnostics holds what not every kind has:
-    `evaluations` (integrand nodes), `b_error` (tesla, bounding b) and,
-    for a polyline, `distance` (meters, from the point to the wire).
+    with the potentials, else None.  diagnostics holds what not every
+    kind has: `evaluations` (integrand nodes), `b_error` (tesla,
+    bounding b), `a_error` (a point charge's bound on each component of
+    a, where error bounds phi) and, for a polyline, a point charge and
+    a dipole, `distance` (meters, from the point to the source).
 
     Every field after a is keyword-only, so no call depends on their
     order.  One is built per source for every row, so the class is

@@ -33,7 +33,8 @@ def dipole_potential(dip: DipoleSource, y: Point3,
         e = (3 (m . u) u - m) / (4 pi eps d^3),   u = (y - x0) / d.
 
     Written out in floats, one separation for the free kernel's
-    coincidence floor and for the value.
+    coincidence floor and for the value; its norm d is
+    res.diagnostics["distance"] (meters).
 
     Rounding (u = EPS / 2, libm within 2u): s = y - x0 is within u of
     y - x0 in each component.  m . s, three products and two sums, is
@@ -76,7 +77,7 @@ def dipole_potential(dip: DipoleSource, y: Point3,
         e = Vec3((mu3 * ux - m.x) / den, (mu3 * uy - m.y) / den,
                  (mu3 * uz - m.z) / den)
     return PotentialResult(y, Vec3(0.0, 0.0, 0.0), phi=num / den, error=err,
-                           converged=True, e=e)
+                           converged=True, diagnostics={"distance": d}, e=e)
 
 
 def plate_wire_potential(z0: float, lam: float, plate_gap: float, y: Point3,

@@ -14,9 +14,9 @@ and the electric field is q k w / (4 pi eps c^2 D^3) (Jackson section
 and eps mu d_t phi = -(d_x a_x + d_y a_y + d_z a_z), since d/dt =
 -v.grad under uniform motion: the Lorenz gauge holds term by term.
 lienard_wiechert forms them all from the one separation w, in plain
-floats, since it runs at every row; rounding_bound bounds the rounding
-of the potentials.  Nothing in it is divided by 1 - n.v/c, so it stays
-finite up to the last float below c.
+floats, since it runs at every row, and from the same w its distance
+|w| and a bound on the rounding of the potentials.  Nothing in it is
+divided by 1 - n.v/c, so it stays finite up to the last float below c.
 
 The emission time is the verification route.  solve_retarded_time
 solves t' + |y - x(t')| / c = t, which has exactly one root when the
@@ -49,6 +49,7 @@ from .base import PotentialResult
 from .medium import VACUUM, MediumConstants
 
 EPS = 2.0 ** -52
+_SPLIT = 134217729.0      # Veltkamp's splitting constant 2^27 + 1
 
 
 def solve_retarded_time(src: PointSource, y: Point3, t: float,
@@ -109,9 +110,10 @@ def lienard_wiechert(src: PointSource, y: Point3, t: float,
                      medium: MediumConstants = VACUUM,
                      want_b: bool = False,
                      want_e: bool = False) -> PotentialResult:
-    """Potentials of the moving charge at (y, t); its magnetic field as
-    res.b when want_b is set, and its electric field as res.e and its
-    Lorenz-gauge terms as res.gauge when want_e is set (else None).
+    """Potentials of the moving charge at (y, t), with a bound on their
+    rounding; its magnetic field as res.b when want_b is set, and its
+    electric field as res.e and its Lorenz-gauge terms as res.gauge when
+    want_e is set (else None).
 
     From w = y - x(t), k = c^2 - v.v and D = sqrt((w.v)^2 + k |w|^2) / c,
 
@@ -120,79 +122,37 @@ def lienard_wiechert(src: PointSource, y: Point3, t: float,
         e   = q k w / (4 pi eps c^2 D^3),
         d_i a_i = -(mu q / 4 pi) v_i ((w.v) v_i + k w_i) / (c^2 D^3),
 
-    and eps mu d_t phi = -(d_x a_x + d_y a_y + d_z a_z).  e and the
-    gauge terms take k with its rounding put back (_k_error), so they
-    stay accurate up to the last float below c; phi, a and b keep the
-    rounded k, which rounding_bound accounts for.  w is scaled by s
-    (see _separation), always for b, e and the gauge terms, and s is
-    applied last: 1 / D = s / D_s and w / D^3 = s^2 w_s / D_s^3, for
-    w_s = s w and D_s = s D, so neither D, the products with w nor D^3
-    overflows.  A field point at the present position, or within the
-    free kernel's coincidence floor of it, is refused with
-    CoincidentPointsError.
+    and eps mu d_t phi = -(d_x a_x + d_y a_y + d_z a_z).  b, e and the
+    gauge terms are proportional to k, which keeps only the last bits of
+    c^2 as v nears c: they take k with its rounding put back (_k_error),
+    and D formed again from that k, so they stay accurate up to the last
+    float below c.  phi and a keep the rounded k, which their bound
+    accounts for.  w is scaled by s (see _separation) and s is applied
+    last: 1 / D = s / D_s and w / D^3 = s^2 w_s / D_s^3, for w_s = s w
+    and D_s = s D, so neither D, the products with w nor D^3 overflows;
+    as s is a power of two, phi and a are those of the unscaled w.  A
+    field point at the present position, or within the free kernel's
+    coincidence floor of it, is refused with CoincidentPointsError.
+    res.diagnostics holds "distance" = |w| (meters) and "a_error", the
+    bound on each component of a.
 
-    res.error is NaN: the rounding bound costs more than the potentials,
-    so it is formed apart, by rounding_bound, where it is written.
-    """
-    c = medium.c
-    px, py, pz, wx, wy, wz, s, k, wv, w2, disc = _separation(
-        src, y, t, c, want_b or want_e)
-    if w2 == 0.0:
-        raise CoincidentPointsError(
-            "field point coincides with the emission point")
-    if math.sqrt(w2) / s < kernels.norm_floor(y.norm(), norm3(px, py, pz)):
-        raise kernels.coincident(y, Point3(px, py, pz))
-    v = src.v
-    root = math.sqrt(disc)                      # c D_s
-    f = c * s / (4.0 * math.pi * root)          # 1 / (4 pi D)
-    m = medium.mu * src.q * f
-    b = e = gauge = None
-    if want_b:
-        g = medium.mu * src.q * k * c / (4.0 * math.pi * root * root * root)
-        b = Vec3((v.y * wz - v.z * wy) * g * s * s,
-                 (v.z * wx - v.x * wz) * g * s * s,
-                 (v.x * wy - v.y * wx) * g * s * s)
-    if want_e:
-        # e and the gauge terms are proportional to k, which keeps only
-        # the last bits of c^2 as v nears c: put its roundings back, and
-        # form D_s again from it
-        k += _k_error(v.x, v.y, v.z, c)
-        root = math.sqrt(wv * wv + k * w2)
-        cube = c / (4.0 * math.pi * root * root * root)   # 1/(4 pi c^2 D_s^3)
-        g = (src.q / medium.eps) * k * cube
-        e = Vec3(wx * g * s * s, wy * g * s * s, wz * g * s * s)
-        g = -medium.mu * src.q * cube
-        dx = v.x * (wv * v.x + k * wx) * g * s * s
-        dy = v.y * (wv * v.y + k * wy) * g * s * s
-        dz = v.z * (wv * v.z + k * wz) * g * s * s
-        gauge = (dx, dy, dz, -(dx + dy + dz))
-    return PotentialResult(y, Vec3(v.x * m, v.y * m, v.z * m),
-                           phi=(src.q / medium.eps) * f, error=math.nan,
-                           converged=True, b=b, e=e, gauge=gauge)
-
-
-def rounding_bound(src: PointSource, y: Point3, t: float,
-                   res: PotentialResult,
-                   medium: MediumConstants = VACUUM) -> tuple[float, float]:
-    """(bound on the error of res.phi, bound on the error of each
-    component of res.a), for res = lienard_wiechert(src, y, t, medium).
-
-    Both potentials are proportional to 1 / D.  Let W = y - x0 - t v
-    exactly, w the separation as formed (scaled by s, exactly), and
+    Rounding.  Both potentials are proportional to 1 / D.  Let
+    W = y - x0 - t v exactly, w the separation as formed, and
     D(x) = sqrt((x.v)^2 + k |x|^2) / c, a norm in x.  With u = EPS / 2,
     the computed 1 / D is off for three reasons.
 
-    * w is off W by dw, taken exactly from its three roundings
-      (_w_rounding).  As D is a norm, |D(w) - D(W)| <= D(dw), which
-      is rho times the D formed.
+    * w is off W by dw, taken exactly from its three roundings (t v,
+      x0 + t v and y - x(t), by Dekker's product and Knuth's two-sum).
+      As D is a norm, |D(w) - D(W)| <= D(dw), which is rho times the D
+      formed.
     * disc = (w.v)^2 + k |w|^2 is off its exact value by at most
       eta disc.  w.v, a sum of three products, is within 3u |w| |v|,
-      which e = 4u |w| |v| covers, and |w|^2 within 3u of itself.
+      which e_wv = 4u |w| |v| covers, and |w|^2 within 3u of itself.
       k = c*c - v.v is off c^2 - v.v by dk, taken exactly from its six
       roundings (_k_error).  The squaring, the product and the sum
       add 5u disc at most, so
 
-          eta disc <= 2 |w.v| e + 3 e^2 + dk |w|^2 + 5u disc.
+          eta disc <= 2 |w.v| e_wv + 3 e_wv^2 + dk |w|^2 + 5u disc.
 
       As v nears c, k holds only the last few bits of c^2, and the
       dk |w|^2 term is the one that counts where w is nearly normal
@@ -205,45 +165,86 @@ def rounding_bound(src: PointSource, y: Point3, t: float,
     R = (1 / sqrt(1 - eta)) (1 / (1 - rho')) (1 + 8u), with
     rho' = rho / sqrt(1 - eta), since D(w) >= sqrt(1 - eta) times the
     D formed.  R - 1 is a relative bound that times |phi| bounds the
-    error of phi, and times |a| that of each component of a.  Where
-    eta or rho' reaches 1, nothing bounds D, and both bounds are inf.
-    At the last float speed below c, where k keeps only a few bits,
-    dk is ~10% of k, so eta stays near 0.1 where w is normal to v.
+    error of phi (res.error), and times |a| that of each component of a.
+    Where eta or rho' reaches 1, nothing bounds D, and both bounds are
+    inf.  At the last float speed below c, where k keeps only a few
+    bits, dk is ~10% of k, so eta stays near 0.1 where w is normal to v.
     """
     c = medium.c
-    v = src.v
+    px, py, pz, wx, wy, wz, s, k, wv, w2, disc = _separation(
+        src, y, t, c, True)
+    if w2 == 0.0:
+        raise CoincidentPointsError(
+            "field point coincides with the emission point")
+    distance = math.sqrt(w2) / s
+    if distance < kernels.norm_floor(y.norm(), norm3(px, py, pz)):
+        raise kernels.coincident(y, Point3(px, py, pz))
+    x0, v = src.x0, src.v
     vx, vy, vz = v.x, v.y, v.z
-    vv = vx * vx + vy * vy + vz * vz
-    _, _, _, wx, wy, wz, s, k, wv, w2, disc = _separation(src, y, t, c, True)
-    e = 2.0 * EPS * math.sqrt(w2 * vv)
-    dk = abs(_k_error(vx, vy, vz, c)) * (1.0 + EPS)
-    eta = (2.0 * abs(wv) * e + 3.0 * e * e + dk * w2) / disc + 3.0 * EPS
-    dx, dy, dz = _w_rounding(src, y, t)
-    dx, dy, dz = dx * s, dy * s, dz * s
+    root = math.sqrt(disc)                      # c D_s
+    f = c * s / (4.0 * math.pi * root)          # 1 / (4 pi D)
+    m = medium.mu * src.q * f
+    phi = (src.q / medium.eps) * f
+    a = Vec3(vx * m, vy * m, vz * m)
+
+    # the bound, from the separation as formed
+    e_wv = 2.0 * EPS * math.sqrt(w2 * (vx * vx + vy * vy + vz * vz))
+    dk = _k_error(vx, vy, vz, c)
+    eta = ((2.0 * abs(wv) * e_wv + 3.0 * e_wv * e_wv
+            + abs(dk) * (1.0 + EPS) * w2) / disc + 3.0 * EPS)
+    h = _SPLIT * t
+    t_hi = h - (h - t)
+    t_lo = t - t_hi
+    dw = []
+    for yi, xi, vi, qi in ((y.x, x0.x, vx, px), (y.y, x0.y, vy, py),
+                           (y.z, x0.z, vz, pz)):
+        # w_i = yi - (xi + vi t) rounds three times: the product p, the
+        # sum qi and the difference; each error exactly
+        p = vi * t
+        h = _SPLIT * vi
+        v_hi = h - (h - vi)
+        v_lo = vi - v_hi
+        err_p = ((v_hi * t_hi - p) + v_hi * t_lo + v_lo * t_hi) + v_lo * t_lo
+        h = qi - xi
+        err_q = (xi - (qi - h)) + (p - h)
+        wi = yi - qi
+        h = wi - yi
+        err_w = (yi - (wi - h)) + (-qi - h)
+        dw.append((err_q + err_p - err_w) * s)
+    dx, dy, dz = dw
     dv = dx * vx + dy * vy + dz * vz
     rho = math.sqrt((dv * dv + k * (dx * dx + dy * dy + dz * dz)) / disc)
     r = math.sqrt(max(0.0, 1.0 - eta))
     if r <= rho:
-        return math.inf, math.inf
-    grow = eta / (r * (1.0 + r))                # 1 / sqrt(1 - eta) - 1
-    grow += (1.0 + grow) * rho / (r - rho)
-    rel = grow + 4.0 * EPS * (1.0 + grow)
-    return rel * abs(res.phi), rel * res.a.norm()
+        error = a_error = math.inf
+    else:
+        grow = eta / (r * (1.0 + r))            # 1 / sqrt(1 - eta) - 1
+        grow += (1.0 + grow) * rho / (r - rho)
+        rel = grow + 4.0 * EPS * (1.0 + grow)
+        error, a_error = rel * abs(phi), rel * a.norm()
 
-
-def _w_rounding(src: PointSource, y: Point3,
-                t: float) -> tuple[float, float, float]:
-    """w - (y - x0 - t v), component by component, for
-    w = y - (x0 + t v) as lienard_wiechert forms it, from the exact
-    error of each of its three roundings."""
-    x0, v = src.x0, src.v
-    dws = []
-    for yi, xi, vi in ((y.x, x0.x, v.x), (y.y, x0.y, v.y), (y.z, x0.z, v.z)):
-        p, err_p = two_product(vi, t)
-        q, err_q = two_sum(xi, p)
-        _, err_w = two_sum(yi, -q)
-        dws.append(err_q + err_p - err_w)
-    return dws[0], dws[1], dws[2]
+    b = e = gauge = None
+    if want_b or want_e:
+        k += dk
+        root = math.sqrt(wv * wv + k * w2)
+        cube = c / (4.0 * math.pi * root * root * root)   # 1/(4 pi c^2 D_s^3)
+    if want_b:
+        g = medium.mu * src.q * k * cube
+        b = Vec3((vy * wz - vz * wy) * g * s * s,
+                 (vz * wx - vx * wz) * g * s * s,
+                 (vx * wy - vy * wx) * g * s * s)
+    if want_e:
+        g = (src.q / medium.eps) * k * cube
+        e = Vec3(wx * g * s * s, wy * g * s * s, wz * g * s * s)
+        g = -medium.mu * src.q * cube
+        dx = vx * (wv * vx + k * wx) * g * s * s
+        dy = vy * (wv * vy + k * wy) * g * s * s
+        dz = vz * (wv * vz + k * wz) * g * s * s
+        gauge = (dx, dy, dz, -(dx + dy + dz))
+    return PotentialResult(y, a, phi=phi, error=error, converged=True,
+                           diagnostics={"distance": distance,
+                                        "a_error": a_error},
+                           b=b, e=e, gauge=gauge)
 
 
 @functools.lru_cache(maxsize=64)

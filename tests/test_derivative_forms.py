@@ -2,13 +2,14 @@
 derivatives of its potentials.
 
 The row writes e and the residual from the closed forms the sources
-return with their potentials: Heaviside's field and d_i a_i for a
-moving charge, Coulomb's field for a static one, the dipole field and
-the gradient of the plate wire's log1p form.  Each is held here to
-mpmath.diff of the same potentials written out in 60 digits, to within
-1e-12 of its own size, or of the part's scale where the quantity
-cancels: |e| for e, and eps mu |v| |grad phi|, the size any d_i a_i can
-reach, for the gauge terms.
+return with their potentials: Heaviside's e and b and d_i a_i for a
+moving charge (b against the curl of a), Coulomb's field for a static
+one, the dipole field and the gradient of the plate wire's log1p form.
+Each is held here to mpmath.diff of the same potentials written out in
+60 digits, to within 1e-12 of its own size, or of the part's scale
+where the quantity cancels: |e| for e and |b| for b, and
+eps mu |v| |grad phi|, the size any d_i a_i can reach, for the gauge
+terms.
 
 For the moving charge the reference takes eps = 1 / (mu c^2) in 60
 digits.  The float constants agree to ~1e-16 only, and near c e is the
@@ -100,6 +101,28 @@ def test_moving_charge_e_and_gauge_terms(speed, y):
         gauge_scale = eps * mu * abs(mv[0]) * mpmath.sqrt(
             sum(g * g for g in grad))
         assert_close(res.gauge, div + [term], gauge_scale, "gauge")
+
+
+# off v, where b is not 0; (0, 1, 0) and (0.7, -0.4, 0.2) at the last
+# float below c had b 5.7% and 10.5% off, from the rounded k
+@pytest.mark.parametrize("speed, y", [
+    (speed, y) for speed in (0.3 * VACUUM.c, LAST_BELOW_C)
+    for y in ((0.0, 1.0, 0.0), (0.0, 1.0, 0.5), (0.7, -0.4, 0.2))])
+def test_moving_charge_b_is_the_curl_of_a(speed, y):
+    q, v = 1e-9, (speed, 0.0, 0.0)
+    src = uniform_point_charge(q, Point3(0.0, 0.0, 0.0), Vec3(*v))
+    res = retarded.lienard_wiechert(src, Point3(*y), 0.0, VACUUM,
+                                    want_b=True)
+    with mpmath.workdps(60):
+        mu, c = mpmath.mpf(VACUUM.mu), mpmath.mpf(VACUUM.c)
+        pot = mp_charge(mpmath.mpf(q), [0, 0, 0],
+                        [mpmath.mpf(vi) for vi in v], 1 / (mu * c * c), mu, c)
+        zero = mpmath.mpf(0)
+        da = [mp_gradient(lambda p, i=i: pot(p, zero)[1][i], y)
+              for i in range(3)]       # da[i][j] = d_j a_i
+        b = [da[2][1] - da[1][2], da[0][2] - da[2][0], da[1][0] - da[0][1]]
+        assert_close(res.b.as_tuple(), b,
+                     mpmath.sqrt(sum(x * x for x in b)), "b")
 
 
 def test_static_charge_e_is_coulombs_and_its_gauge_terms_are_0():

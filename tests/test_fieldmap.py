@@ -7,6 +7,7 @@ polyline: such a part differences its own a at +-h on each axis, 7
 evaluations of it.  The counts below are per source and per row.
 """
 
+import io
 import math
 import textwrap
 
@@ -85,52 +86,38 @@ def test_timed_row_evaluates_each_source_once():
     assert calls == [1, 1, 1]
 
 
-def test_point_charge_bound_runs_at_the_row_point_only(monkeypatch):
-    # the rounding bound costs more than the potentials and only the
-    # row point's error is written: one call per charge and row
-    calls = []
-    bound = retarded.rounding_bound
-
-    def counting(src, y, t, res, medium):
-        calls.append((y.as_tuple(), t))
-        return bound(src, y, t, res, medium)
-
-    monkeypatch.setattr(retarded, "rounding_bound", counting)
+def test_point_charge_row_writes_its_own_error():
+    # the charge bounds its rounding in its one evaluation, and the row
+    # sums the sources' errors as they come, the charge's among them
     scene = make_scene([PLATE_WIRE, MOVING_CHARGE, DIPOLE],
                        ["phi", "a", "e", "residual"],
                        time={"start": 0.0, "stop": 2e-9, "count": 2})
     parts = fieldmap.build_parts(scene)
-    point = (0.3, 0.2, 0.5)
-    row = row_dict(scene, fieldmap.compute_row(scene, parts, point + (2e-9,)))
+    point = Point3(0.3, 0.2, 0.5)
+    row = row_dict(scene, fieldmap.compute_row(scene, parts,
+                                               point.as_tuple() + (2e-9,)))
     assert row["status"] == "ok"
-    assert calls == [(point, 2e-9)]
+    plate, charge, dipole = (part.evaluate(point, 2e-9) for part in parts)
     src = uniform_point_charge(1e-9, Point3(0.0, -1.0, 0.5),
                                Vec3(3e7, 6e7, 0.0))
-    res = retarded.lienard_wiechert(src, Point3(*point), 2e-9)
-    assert row["quad_error"] >= bound(src, Point3(*point), 2e-9, res,
-                                      scene.medium)[0] > 0.0
+    res = retarded.lienard_wiechert(src, point, 2e-9, scene.medium)
+    assert charge.error == res.error > 0.0
+    assert row["quad_error"] == 0.0 + plate.error + res.error + dipole.error
 
 
 @pytest.mark.parametrize("source", [
     LOOP, HELIX, SOLENOID, SQUARE, PLATE_WIRE, MOVING_CHARGE, DIPOLE,
 ], ids=lambda s: s["type"])
 def test_one_source_row_writes_its_error(source):
-    # quad_error of a one-source ok row is that source's own error
-    # (a point charge's from rounding_bound), and no kind leaves it 0
+    # quad_error of a one-source ok row is that source's own error, and
+    # no kind leaves it 0
     scene = make_scene([source], ["phi", "a"])
     (part,) = fieldmap.build_parts(scene)
     point = Point3(0.3, 0.2, 0.6)     # off the dipole's equatorial plane
     row = row_dict(scene, fieldmap.compute_row(scene, [part],
                                                point.as_tuple()))
     assert row["status"] == "ok"
-    res = part.evaluate(point, 0.0)
-    if source is MOVING_CHARGE:
-        src = uniform_point_charge(source["q"], Point3(*source["position"]),
-                                   Vec3(*source["velocity"]))
-        want = retarded.rounding_bound(src, point, 0.0, res, scene.medium)[0]
-    else:
-        want = res.error
-    assert row["quad_error"] == want > 0.0
+    assert row["quad_error"] == part.evaluate(point, 0.0).error > 0.0
 
 
 @pytest.mark.parametrize("source", [LOOP, HELIX, SOLENOID],
@@ -462,3 +449,20 @@ def test_run_threads_write_identical_bytes(tmp_path):
                          "--threads", threads]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("status", ["ok", "on_support", "unconverged",
+                                    "out_of_domain"])
+def test_csv_lines_are_the_formatted_values(status):
+    # a row's floats are written by repr, its status as it stands: the
+    # same line as format_value gives cell by cell
+    rows = [[0.5, -0.0, 0.0, math.nan, math.inf, -math.inf, 1e-300,
+             -2.5e17, 0.1 + 0.2, 5e-324, -math.nan, status],
+            [1.0, 2.0, status]]
+    scene = make_scene([LOOP], ["a"])
+    out = io.StringIO()
+    fieldmap.write_csv(out, scene, ["x", "y"], rows)
+    lines = out.getvalue().splitlines()[4:]
+    assert lines == [",".join(fieldmap.format_value(v) for v in row)
+                     for row in rows]
+    assert lines[0].startswith("0.5,-0.0,0.0,nan,inf,-inf,")

@@ -311,8 +311,8 @@ def test_point_charge_rounding_bound_is_honest(t, beta):
             y = Point3(rng.uniform(-2, 2), rng.uniform(-2, 2),
                        rng.uniform(-2, 2))
             res = retarded.lienard_wiechert(src, y, t)
-            bound_phi, bound_a = map(Decimal,
-                                     retarded.rounding_bound(src, y, t, res))
+            bound_phi = Decimal(res.error)
+            bound_a = Decimal(res.diagnostics["a_error"])
             phi, a = exact_potentials(Q, x0, v, y, t)
             err_phi = abs(Decimal(res.phi) - phi)
             assert err_phi <= bound_phi, (direction, y)
@@ -350,7 +350,7 @@ def test_point_charge_rounding_bound_holds_at_the_last_float_below_c(t):
                   + src.position(2.0e-9))
         for y in ys:
             res = retarded.lienard_wiechert(src, y, t)
-            bound_phi, bound_a = retarded.rounding_bound(src, y, t, res)
+            bound_phi, bound_a = res.error, res.diagnostics["a_error"]
             assert math.isfinite(bound_phi) and math.isfinite(bound_a)
             phi, a = exact_potentials(Q, x0, v, y, t)
             assert abs(Decimal(res.phi) - phi) <= Decimal(bound_phi), (v, y)
@@ -377,7 +377,7 @@ def test_point_charge_bound_normal_to_v_at_the_last_float_below_c(t):
         for r in (1.0, 0.37, 25.0):
             y = Point3(*(r * a for a in normal))
             res = retarded.lienard_wiechert(src, y, t)
-            bound_phi, bound_a = retarded.rounding_bound(src, y, t, res)
+            bound_phi, bound_a = res.error, res.diagnostics["a_error"]
             assert math.isfinite(bound_phi) and math.isfinite(bound_a)
             phi, a = exact_potentials(Q, x0, v, y, t)
             err = abs(Decimal(res.phi) - phi)

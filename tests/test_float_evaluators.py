@@ -1,11 +1,13 @@
 """Dipoles and the plate wire in floats, bit for bit, and the point
-charge's refusals.
+charge's refusals and distance.
 
 The evaluators run at every stencil point of a timed row, so they are
 written out in floats rather than Point3/Vec3 expressions.  The dipole
 and the plate wire's floor keep the operations of the form they
 replaced in the same order; the copies below are that form, and every
-result, diagnostic and refusal must match them exactly.
+result, diagnostic and refusal must match them exactly.  The distance a
+dipole or a point charge reports, which the field map's derivative
+guard reads, is the norm of the Vec3 separation, to the bit.
 """
 
 import math
@@ -30,7 +32,7 @@ def vec3_dipole_potential(dip, y, medium=VACUUM):
     size = abs(m.x * sep.x) + abs(m.y * sep.y) + abs(m.z * sep.z)
     err = electro.EPS * (2.5 * size + 8.5 * abs(num)) / den
     return PotentialResult(y, Vec3(0.0, 0.0, 0.0), phi=num / den, error=err,
-                           converged=True)
+                           converged=True, diagnostics={"distance": d})
 
 
 def vec3_plate_wire_floor(z0, y):
@@ -126,3 +128,23 @@ def test_plate_wire_floor_matches_point3_form():
         refused += on_wire
     assert refused > 100
 
+
+
+def test_point_charge_distance_is_the_present_separation_bit_for_bit():
+    # lienard_wiechert scales its separation by a power of two and
+    # reports |w| from it: no bit moves, whether the charge moves or
+    # not, and at |w| ~ 1e150 m, where the unscaled form would overflow
+    # its cube
+    rng = random.Random(19)
+    for i in range(6000):
+        x0 = point(rng, 10.0 ** rng.uniform(-3.0, 3.0))
+        v = (Vec3(0.0, 0.0, 0.0) if i % 3 == 0
+             else rng.uniform(0.0, 0.99) * VACUUM.c * direction(rng))
+        src = PointSource(1e-9, x0, v)
+        t = rng.choice((0.0, 2e-9, rng.uniform(-1e-6, 1e-6), 1.37))
+        at = src.position(t)
+        scale = (1e150 if i % 5 == 0
+                 else (1.0 + at.norm()) * 10.0 ** rng.uniform(-3.0, 4.0))
+        y = at + scale * rng.uniform(0.5, 2.0) * direction(rng)
+        res = retarded.lienard_wiechert(src, y, t)
+        assert res.diagnostics["distance"] == (y - at).norm(), (i, y)
